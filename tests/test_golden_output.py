@@ -1,0 +1,64 @@
+"""Golden outputs: the shipped configs must keep producing the same bytes.
+
+Each case runs the CLI in-process at ``--jobs 1`` and pins the sha256 of
+what it writes: the sweep CSVs, the optimizer's full grid dump and the
+human-readable ``analyze`` report.  A refactor that changes any of these
+bytes changes the program's output and must say so.
+"""
+
+import hashlib
+import warnings
+from pathlib import Path
+
+import pytest
+
+from crpla import cli
+from crpla.errors import NarrowMarginWarning
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+SWEEP_CSV = {
+    "sweep_hmin.json": "105bc5861b72dd9a235d8b669da2d06225b99d40b0b8bc54ec64c45950ed202f",
+    "sweep_snr_ratio.json": "7e460b0b45271be8891e29b03959a64073b50c8f0056c6e14f775995e119c488",
+}
+GRID_CSV = {
+    "point_high_snr.json": "1b401ebfe5d15d8a73437315a3dfb06653db919d9b4c8d19bc902ef53dc17044",
+    "validate_small_f.json": "f48aea75f46e9240aac9bffa6a5e1fc9508994d132152d342c66a34a9d0caf39",
+}
+ANALYZE_STDOUT = {
+    "point_high_snr.json": "f5ea4dd35a734f2b2e0fbb7fb802b258c0f99909ab2a3fdba4ee56a444cd783a",
+    "validate_small_f.json": "0ca9985065b99e45541198aa7639a1f58b2f9c5787c742e00ea23644d1bfb2d0",
+}
+
+
+@pytest.fixture(autouse=True)
+def _quiet_margin_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NarrowMarginWarning)
+        yield
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CSV))
+def test_sweep_csv(name, tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(CONFIGS / name), "--out", str(out), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert sha256(out.read_bytes()) == SWEEP_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CSV))
+def test_optimize_grid_csv(name, tmp_path):
+    out = tmp_path / "grid.csv"
+    argv = ["optimize", "--config", str(CONFIGS / name), "--grid-csv", str(out)]
+    assert cli.main(argv) == 0
+    assert sha256(out.read_bytes()) == GRID_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_STDOUT))
+def test_analyze_stdout(name, capsys):
+    assert cli.main(["analyze", "--config", str(CONFIGS / name)]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == ANALYZE_STDOUT[name]
