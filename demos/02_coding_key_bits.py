@@ -6,7 +6,7 @@ must stay below what the attacker's channel concedes.  The demo prints
 both budgets and where the clamp bites.
 """
 
-from crpla import SystemParams, b_key_cd, b_key_hybrid, eavesdropper_info, rate_cd
+from crpla import SystemParams, b_key_cd, b_key_hybrid, eavesdropper_info
 
 BASE = dict(n=10, F=100, pilot_count=0, b_M=600, p_FA=1e-7,
             lambda_B=1e5, lambda_T=3e4, h_min=1.0, h_max=1.0)
@@ -15,7 +15,7 @@ BASE = dict(n=10, F=100, pilot_count=0, b_M=600, p_FA=1e-7,
 def main() -> None:
     params = SystemParams(**BASE)
     print("fixed top-amplitude channel, 1000 codeword symbols:")
-    print(f"  achievable rate  R = {rate_cd(params, 1e-7):.4f} bits/symbol")
+    print(f"  achievable rate  R = {b_key_cd(params, 1e-7).rate:.4f} bits/symbol")
     print(f"  attacker bound   I(x;z) = {eavesdropper_info(params.lambda_T):.4f} bits/symbol")
 
     print("\nkey budget vs attacker SNR ratio (the secrecy clamp):")

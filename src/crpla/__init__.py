@@ -14,15 +14,20 @@ from .channel import (
 )
 from .coding import (
     RateReport,
-    avg_rate_hybrid,
     b_key_cd,
     b_key_hybrid,
-    dispersion_block_fading,
     eavesdropper_info,
     mutual_info_fixed,
-    rate_cd,
 )
-from .hybrid import OptimizationGrid, baseline_cd, baseline_ch, hybrid_bits, optimize
+from .hybrid import (
+    Evaluation,
+    OptimizationGrid,
+    baseline_cd,
+    baseline_ch,
+    evaluate,
+    hybrid_bits,
+    optimize,
+)
 from .montecarlo import (
     ChallengeDraw,
     EstimatorMoments,
@@ -42,7 +47,6 @@ from .params import (
     validate,
 )
 from .specfun import (
-    QuadratureSpec,
     chi_square_sf,
     log_gamma,
     q_function,
@@ -56,23 +60,22 @@ __all__ = [
     "ChannelGeometry",
     "ChallengeDraw",
     "EstimatorMoments",
+    "Evaluation",
     "MECHANISMS",
     "OptimizationGrid",
-    "QuadratureSpec",
     "RateReport",
     "SecurityReport",
     "SystemParams",
     "TrialBatch",
-    "avg_rate_hybrid",
     "b_key_cd",
     "b_key_hybrid",
     "baseline_cd",
     "baseline_ch",
     "chi_square_sf",
-    "dispersion_block_fading",
     "draw_challenge",
     "eavesdropper_info",
     "equivalent_key_bits",
+    "evaluate",
     "hybrid_bits",
     "load_params",
     "log2_p_succ",
@@ -85,7 +88,6 @@ __all__ = [
     "params_to_config",
     "q_function",
     "q_inverse",
-    "rate_cd",
     "sigma_h_sq",
     "simulate_pilot_estimation",
     "test_statistic",

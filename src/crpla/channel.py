@@ -116,34 +116,53 @@ def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
 
 
-def log2_p_succ(params: SystemParams, tau: float) -> float:
-    """log2 of the attack-success probability at threshold ``tau``.
+def _geometry(params: SystemParams, tau: float) -> ChannelGeometry:
+    """Acceptance-region geometry at threshold ``tau``.
 
-    Computed as min(0, F * log2(sqrt(pi * (sqrt(2F) tau + F)) * sigma_h
-    / (2 (h_max - h_min))) - log2 Gamma(F/2 + 1)), never materializing the
-    volumes themselves.  A zero-width amplitude interval means no challenge
-    randomness at all; by convention the attack then succeeds freely
-    (returns 0, so b_ch = 0).
+    log2_p_succ = min(0, F * log2(sqrt(pi) * radius / (2 (h_max - h_min)))
+    - log2 Gamma(F/2 + 1)), never materializing the volumes themselves.  A
+    zero-width amplitude interval means no challenge randomness at all; by
+    convention the attack then succeeds freely (log2_p_succ = 0, b_ch = 0).
     """
-    span = params.amplitude_span
-    if span == 0.0:
-        return 0.0
+    var = sigma_h_sq(params)
     F = params.F
-    sigma = math.sqrt(sigma_h_sq(params))
+    span = params.amplitude_span
     chi = math.sqrt(2.0 * F) * tau + F
-    if chi <= 0.0:
-        return float("-inf")  # empty acceptance sphere
-    radius = math.sqrt(chi) * sigma
-    if radius > 0.1 * span:
-        # Static message so repeated hits deduplicate to one line per run.
-        warnings.warn(
-            "sphere radius exceeds 10% of the amplitude span; the boundary-free "
-            "volume ratio is a coarse approximation in this regime",
-            NarrowMarginWarning,
-            stacklevel=2,
-        )
-    per_frame = math.log2(math.sqrt(math.pi) * radius / (2.0 * span))
-    return min(0.0, F * per_frame - log_gamma(F / 2.0 + 1.0) / _LN2)
+    radius = math.sqrt(chi) * math.sqrt(var) if chi > 0.0 else 0.0
+    log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
+    if radius > 0.0:
+        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * math.log2(radius) - log2_gamma_term
+    else:
+        log2_v_sphere = float("-inf")
+    log2_v_cube = F * (1.0 + math.log2(span)) if span > 0.0 else float("-inf")
+    if span == 0.0:
+        exponent = 0.0
+    elif radius == 0.0:
+        exponent = float("-inf")  # empty acceptance sphere
+    else:
+        if radius > 0.1 * span:
+            # Static message so repeated hits deduplicate to one line per run.
+            warnings.warn(
+                "sphere radius exceeds 10% of the amplitude span; the boundary-free "
+                "volume ratio is a coarse approximation in this regime",
+                NarrowMarginWarning,
+                stacklevel=2,
+            )
+        per_frame = math.log2(math.sqrt(math.pi) * radius / (2.0 * span))
+        exponent = min(0.0, F * per_frame - log2_gamma_term)
+    return ChannelGeometry(
+        tau=tau,
+        sigma_h_sq=var,
+        radius=radius,
+        log2_v_sphere=log2_v_sphere,
+        log2_v_cube=log2_v_cube,
+        log2_p_succ=exponent,
+    )
+
+
+def log2_p_succ(params: SystemParams, tau: float) -> float:
+    """log2 of the attack-success probability at threshold ``tau``."""
+    return _geometry(params, tau).log2_p_succ
 
 
 def equivalent_key_bits(
@@ -159,22 +178,4 @@ def equivalent_key_bits(
         if exact_threshold
         else threshold_from_pfa(p_fa_ch)
     )
-    var = sigma_h_sq(params)
-    F = params.F
-    chi = math.sqrt(2.0 * F) * tau + F
-    radius = math.sqrt(max(chi, 0.0) * var)
-    span = params.amplitude_span
-    log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
-    if radius > 0.0:
-        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * math.log2(radius) - log2_gamma_term
-    else:
-        log2_v_sphere = float("-inf")
-    log2_v_cube = F * (1.0 + math.log2(span)) if span > 0.0 else float("-inf")
-    return ChannelGeometry(
-        tau=tau,
-        sigma_h_sq=var,
-        radius=radius,
-        log2_v_sphere=log2_v_sphere,
-        log2_v_cube=log2_v_cube,
-        log2_p_succ=log2_p_succ(params, tau),
-    )
+    return _geometry(params, tau)

@@ -12,13 +12,14 @@ CRPLA_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from typing import Sequence
 
-from . import channel, coding, hybrid, montecarlo, sweep
+from . import channel, hybrid, montecarlo, sweep
 from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
@@ -49,6 +50,16 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crpla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate mechanisms along a swept variable")
     add_common(p_sweep)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    p_sweep.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker processes")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo validation of the analytic values")
     add_common(p_sim)
     p_sim.add_argument("--trials", type=int, default=1_000_000, help="trials per check")
     p_sim.add_argument("--seed", type=int, default=None, help="base seed (default: CRPLA_SEED or 0)")
-    p_sim.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    p_sim.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker processes")
 
     p_opt = sub.add_parser("optimize", help="grid search over pilot count and h_min")
     add_common(p_opt)
@@ -94,90 +105,56 @@ def _print_report(title: str, report, quiet: bool) -> None:
     )
 
 
-def _analyze_document(params: SystemParams, exact: bool) -> dict:
-    doc: dict = {"params": params_to_config(params)}
-    ch = hybrid.baseline_ch(params, exact)
-    cd = hybrid.baseline_cd(params)
-    doc["reports"] = {"CH": _report_dict(ch), "CD": _report_dict(cd)}
+def _with_derived(record, name: str) -> dict:
+    """The record's fields plus its derived property ``name``."""
+    return {**dataclasses.asdict(record), name: getattr(record, name)}
 
-    cd_rates = coding.b_key_cd(params.replace(pilot_count=0, h_min=params.h_max), params.p_FA)
-    doc["cd_rate_report"] = _rates_dict(cd_rates)
 
-    if 1 <= params.pilot_count <= params.n - 1:
-        hy = hybrid.hybrid_bits(params, exact_threshold=exact)
-        geometry = channel.equivalent_key_bits(params, 0.5 * params.p_FA, exact)
-        rates = coding.b_key_hybrid(params, 0.5 * params.p_FA)
-        doc["reports"]["HYBRID"] = _report_dict(hy)
-        doc["channel_geometry"] = {
-            "tau": geometry.tau,
-            "sigma_h_sq": geometry.sigma_h_sq,
-            "radius": geometry.radius,
-            "log2_v_sphere": geometry.log2_v_sphere,
-            "log2_v_cube": geometry.log2_v_cube,
-            "log2_p_succ": geometry.log2_p_succ,
-            "b_ch": geometry.b_ch,
-        }
-        doc["hybrid_rate_report"] = _rates_dict(rates)
-    else:
-        doc["reports"]["HYBRID"] = None
+def _analyze_document(params: SystemParams, evaluations: dict) -> dict:
+    reports = {
+        name: None if ev is None else _with_derived(ev.report, "b_tot")
+        for name, ev in evaluations.items()
+    }
+    doc = {
+        "params": params_to_config(params),
+        "reports": reports,
+        "cd_rate_report": _with_derived(evaluations["CD"].rates, "b_key"),
+    }
+    hy = evaluations["HYBRID"]
+    if hy is not None:
+        doc["channel_geometry"] = _with_derived(hy.geometry, "b_ch")
+        doc["hybrid_rate_report"] = _with_derived(hy.rates, "b_key")
     return doc
-
-
-def _report_dict(report) -> dict:
-    return {
-        "mechanism": report.mechanism,
-        "b_ch": report.b_ch,
-        "b_key": report.b_key,
-        "b_tot": report.b_tot,
-        "alpha_used": report.alpha_used,
-        "h_min_used": report.h_min_used,
-    }
-
-
-def _rates_dict(rates) -> dict:
-    return {
-        "i_xy": rates.i_xy,
-        "i_xz": rates.i_xz,
-        "dispersion": rates.dispersion,
-        "rate": rates.rate,
-        "b_key_1": rates.b_key_1,
-        "b_key_2": rates.b_key_2,
-        "b_key": rates.b_key,
-    }
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    doc = _analyze_document(params, args.exact_threshold)
+    exact = args.exact_threshold
+    evaluations = {name: hybrid.evaluate(params, name, exact) for name in ("CH", "CD")}
+    hybrid_runs = 1 <= params.pilot_count <= params.n - 1
+    evaluations["HYBRID"] = hybrid.evaluate(params, "HYBRID", exact) if hybrid_runs else None
     if not args.quiet:
-        print(f"# operating point: {json.dumps(doc['params'])}")
-        for name in ("CH", "CD", "HYBRID"):
-            report = doc["reports"][name]
-            if report is None:
+        print(f"# operating point: {json.dumps(params_to_config(params))}")
+        for name, ev in evaluations.items():
+            if ev is None:
                 print(f"{name:<10} n/a (hybrid needs 1 <= pilot_count <= n-1)")
             else:
-                print(
-                    f"{name:<10} alpha={report['alpha_used']:<6.4g} "
-                    f"h_min={report['h_min_used']:<8.6g} b_ch={report['b_ch']:16.6f} "
-                    f"b_key={report['b_key']:16.6f} b_tot={report['b_tot']:16.6f}"
-                )
-        if "channel_geometry" in doc:
-            g = doc["channel_geometry"]
+                _print_report(name, ev.report, quiet=False)
+        hy = evaluations["HYBRID"]
+        if hy is not None:
+            g, r = hy.geometry, hy.rates
             print(
-                f"geometry   tau={g['tau']:.6g} sigma_h_sq={g['sigma_h_sq']:.6g} "
-                f"radius={g['radius']:.6g} log2_p_succ={g['log2_p_succ']:.6g}"
+                f"geometry   tau={g.tau:.6g} sigma_h_sq={g.sigma_h_sq:.6g} "
+                f"radius={g.radius:.6g} log2_p_succ={g.log2_p_succ:.6g}"
             )
-        if "hybrid_rate_report" in doc:
-            r = doc["hybrid_rate_report"]
             print(
-                f"rates      i_xy={r['i_xy']:.6g} i_xz={r['i_xz']:.6g} "
-                f"V={r['dispersion']:.6g} rate={r['rate']:.6g} "
-                f"b_key_1={r['b_key_1']:.6g} b_key_2={r['b_key_2']:.6g}"
+                f"rates      i_xy={r.i_xy:.6g} i_xz={r.i_xz:.6g} "
+                f"V={r.dispersion:.6g} rate={r.rate:.6g} "
+                f"b_key_1={r.b_key_1:.6g} b_key_2={r.b_key_2:.6g}"
             )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        doc = _analyze_document(params, evaluations)
+        sweep.write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -196,7 +173,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     best = hybrid.optimize(params, grid, args.exact_threshold)
     _print_report("OPTIMUM", best, args.quiet)
     if args.grid_csv:
-        cells = hybrid.grid_rows(params, grid, args.exact_threshold)
+        cells = hybrid.evaluate_grid(params, grid, args.exact_threshold)
         rows = [(cell.h_min_used, cell.mechanism, cell) for cell in cells]
         sweep.write_csv(rows, "h_min", args.grid_csv)
         if not args.quiet:
@@ -216,71 +193,39 @@ def simulate_rows(
     """
     if params.pilot_count < 1:
         raise ConfigParseError("simulate needs pilot_count >= 1 for amplitude estimation")
-    tau = (
-        channel.threshold_from_pfa_exact(params.p_FA, params.F)
-        if exact
-        else channel.threshold_from_pfa(params.p_FA)
-    )
-    rows = []
-
+    geometry = channel.equivalent_key_bits(params, params.p_FA, exact)
+    tau, sigma_sq = geometry.tau, geometry.sigma_h_sq
     fa = montecarlo.measure_false_alarm(params, tau, trials, seed, jobs)
     fa_exact = chi_square_sf(math.sqrt(2.0 * params.F) * tau + params.F, params.F)
-    rows.append(
-        (
-            "false_alarm",
-            fa_exact,
-            fa.estimate,
-            fa.wilson_3sigma_low,
-            fa.wilson_3sigma_high,
-            "PASS" if fa.contains(fa_exact) else "FAIL",
-        )
-    )
-    rows.append(("false_alarm_asym", q_function(tau), fa.estimate, float("nan"), float("nan"), "INFO"))
-
     attack = montecarlo.measure_attack_success(params, tau, trials, seed + 1, jobs)
-    p_succ = 2.0 ** channel.log2_p_succ(params, tau)
-    if attack.successes == 0 and p_succ * trials < 10.0:
-        verdict = "WARN"
-    else:
-        verdict = "PASS" if attack.contains(p_succ) else "FAIL"
-    rows.append(
-        (
-            "attack_success",
-            p_succ,
-            attack.estimate,
-            attack.wilson_3sigma_low,
-            attack.wilson_3sigma_high,
-            verdict,
-        )
-    )
-
+    p_succ = 2.0 ** geometry.log2_p_succ
+    unresolved = attack.successes == 0 and p_succ * trials < 10.0
     moments = montecarlo.simulate_pilot_estimation(
         params.h_max, params.lambda_B, params.pilot_count, trials, seed + 2, jobs
     )
-    sigma_sq = channel.sigma_h_sq(params)
     mean_band = 3.0 * math.sqrt(sigma_sq / trials)
-    rows.append(
-        (
-            "estimator_mean",
-            params.h_max,
-            moments.mean,
-            params.h_max - mean_band,
-            params.h_max + mean_band,
-            "PASS" if abs(moments.mean - params.h_max) <= mean_band else "FAIL",
-        )
-    )
     var_band = 3.0 * math.sqrt(2.0 / (trials - 1)) * sigma_sq
-    rows.append(
-        (
-            "estimator_variance",
-            sigma_sq,
-            moments.variance,
-            sigma_sq - var_band,
-            sigma_sq + var_band,
-            "PASS" if abs(moments.variance - sigma_sq) <= var_band else "FAIL",
-        )
-    )
-    return rows
+    return [
+        _interval_row("false_alarm", fa_exact, fa),
+        ("false_alarm_asym", q_function(tau), fa.estimate, float("nan"), float("nan"), "INFO"),
+        _interval_row("attack_success", p_succ, attack, "WARN" if unresolved else None),
+        _band_row("estimator_mean", params.h_max, moments.mean, mean_band),
+        _band_row("estimator_variance", sigma_sq, moments.variance, var_band),
+    ]
+
+
+def _interval_row(check: str, analytic: float, batch, verdict: str | None = None) -> tuple:
+    """An analytic probability against the empirical Wilson 3-sigma interval."""
+    if verdict is None:
+        verdict = "PASS" if batch.contains(analytic) else "FAIL"
+    low, high = batch.wilson_3sigma_low, batch.wilson_3sigma_high
+    return (check, analytic, batch.estimate, low, high, verdict)
+
+
+def _band_row(check: str, analytic: float, empirical: float, band: float) -> tuple:
+    """An empirical moment against analytic +- band."""
+    verdict = "PASS" if abs(empirical - analytic) <= band else "FAIL"
+    return (check, analytic, empirical, analytic - band, analytic + band, verdict)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -294,25 +239,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(
             f"{'check':<20}{'analytic':>14}{'empirical':>14}{'band_low':>14}{'band_high':>14}  verdict"
         )
-    for name, analytic, empirical, low, high, verdict in rows:
-        print(f"{name:<20}{analytic:>14.6g}{empirical:>14.6g}{low:>14.6g}{high:>14.6g}  {verdict}")
+        for name, analytic, empirical, low, high, verdict in rows:
+            print(
+                f"{name:<20}{analytic:>14.6g}{empirical:>14.6g}{low:>14.6g}{high:>14.6g}  {verdict}"
+            )
     failed = any(r[-1] == "FAIL" for r in rows)
     return EXIT_VALIDATION if failed else EXIT_OK
+
+
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "sweep": cmd_sweep,
+    "simulate": cmd_simulate,
+    "optimize": cmd_optimize,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        raise ConfigParseError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except (ConfigParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

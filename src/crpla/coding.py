@@ -26,16 +26,13 @@ from functools import lru_cache
 
 from .errors import NumericError
 from .params import SystemParams
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, q_inverse, uniform_expectation
+from .specfun import q_inverse, uniform_expectation
 
 __all__ = [
     "RateReport",
     "mutual_info_fixed",
     "eavesdropper_info",
-    "rate_cd",
     "b_key_cd",
-    "dispersion_block_fading",
-    "avg_rate_hybrid",
     "b_key_hybrid",
 ]
 
@@ -46,9 +43,10 @@ _LOG2E = 1.0 / math.log(2.0)
 class RateReport:
     """Rates and key-bit budgets for one coding configuration.
 
-    ``b_key_1`` (rate budget minus message) and ``b_key_2`` (secrecy
-    budget against the eavesdropper) may be negative; ``b_key`` is their
-    clamped minimum.
+    ``rate`` is the finite-length achievable rate and ``dispersion`` the
+    channel dispersion it backs off by.  ``b_key_1`` (rate budget minus
+    message) and ``b_key_2`` (secrecy budget against the eavesdropper) may
+    be negative; ``b_key`` is their clamped minimum.
     """
 
     i_xy: float
@@ -81,55 +79,50 @@ def eavesdropper_info(lambda_t: float) -> float:
     return math.log1p(lambda_t) * _LOG2E
 
 
-def rate_cd(params: SystemParams, p_fa_cd: float) -> float:
-    """Achievable rate over n*F symbols at fixed amplitude h_max.
-
-    R = log2(1+S) - sqrt(S(S+2) log2(e)^2 / ((S+1)^2 n F)) * Qinv(p),
-    with S = h_max^2 * lambda_B.  May be negative for tiny blocklengths;
-    downstream budgets clamp.
-    """
-    s = params.h_max * params.h_max * params.lambda_B
-    n_total = params.n * params.F
-    dispersion = s * (s + 2.0) / ((s + 1.0) ** 2) * _LOG2E**2
-    return mutual_info_fixed(params.h_max, params.lambda_B) - math.sqrt(
-        dispersion / n_total
-    ) * q_inverse(p_fa_cd)
+def _budget(
+    params: SystemParams, i_xy: float, dispersion: float, rate: float, symbols: int
+) -> RateReport:
+    i_xz = eavesdropper_info(params.lambda_T)
+    return RateReport(
+        i_xy=i_xy,
+        i_xz=i_xz,
+        dispersion=dispersion,
+        rate=rate,
+        b_key_1=symbols * rate - params.b_M,
+        b_key_2=symbols * (rate - i_xz),
+    )
 
 
 def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
-    """Key budget of the pure coding mechanism (no pilots, amplitude h_max)."""
-    rate = rate_cd(params, p_fa_cd)
-    i_xz = eavesdropper_info(params.lambda_T)
-    n_total = params.n * params.F
+    """Key budget of the pure coding mechanism (no pilots, amplitude h_max).
+
+    R = log2(1+S) - sqrt(V / (n F)) * Qinv(p) over all n*F symbols, with
+    S = h_max^2 * lambda_B and V = S(S+2)/(S+1)^2 * log2(e)^2.  R may be
+    negative for tiny blocklengths; the budgets clamp.
+    """
     s = params.h_max * params.h_max * params.lambda_B
-    return RateReport(
-        i_xy=mutual_info_fixed(params.h_max, params.lambda_B),
-        i_xz=i_xz,
-        dispersion=s * (s + 2.0) / ((s + 1.0) ** 2) * _LOG2E**2,
-        rate=rate,
-        b_key_1=n_total * rate - params.b_M,
-        b_key_2=n_total * (rate - i_xz),
-    )
+    n_total = params.n * params.F
+    i_xy = mutual_info_fixed(params.h_max, params.lambda_B)
+    dispersion = s * (s + 2.0) / ((s + 1.0) ** 2) * _LOG2E**2
+    rate = i_xy - math.sqrt(dispersion / n_total) * q_inverse(p_fa_cd)
+    return _budget(params, i_xy, dispersion, rate, n_total)
 
 
 @lru_cache(maxsize=4096)
 def _uniform_amplitude_stats(
-    h_min: float, h_max: float, lambda_b: float, rel_tol: float, max_subdivisions: int
+    h_min: float, h_max: float, lambda_b: float
 ) -> tuple[float, float, float]:
     """(E[I], Var[I], E[1/(1+h^2 lambda)]) for h uniform on [h_min, h_max]."""
     if h_min == h_max:
         info = mutual_info_fixed(h_min, lambda_b)
         return info, 0.0, 1.0 / (1.0 + h_min * h_min * lambda_b)
-    spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
 
     def info(h: float) -> float:
         return math.log1p(h * h * lambda_b) * _LOG2E
 
-    mean_info = uniform_expectation(info, h_min, h_max, spec)
-    mean_info_sq = uniform_expectation(lambda h: info(h) ** 2, h_min, h_max, spec)
-    mean_inv = uniform_expectation(
-        lambda h: 1.0 / (1.0 + h * h * lambda_b), h_min, h_max, spec
-    )
+    mean_info = uniform_expectation(info, h_min, h_max)
+    mean_info_sq = uniform_expectation(lambda h: info(h) ** 2, h_min, h_max)
+    mean_inv = uniform_expectation(lambda h: 1.0 / (1.0 + h * h * lambda_b), h_min, h_max)
     variance = mean_info_sq - mean_info * mean_info
     if variance < -1e-9:
         raise NumericError(
@@ -139,69 +132,28 @@ def _uniform_amplitude_stats(
     return mean_info, max(0.0, variance), mean_inv
 
 
-def _stats(params: SystemParams, spec: QuadratureSpec) -> tuple[float, float, float]:
-    return _uniform_amplitude_stats(
-        params.h_min, params.h_max, params.lambda_B, spec.rel_tol, spec.max_subdivisions
-    )
-
-
-def dispersion_block_fading(
-    params: SystemParams, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Dispersion of the per-frame random-amplitude channel.
-
-    V = n' * Var[I] + 1 - E[1/(1 + h^2 lambda_B)]^2 with the moments taken
-    over h uniform on [h_min, h_max].  The variance term vanishes when the
-    interval collapses to a point.
-    """
-    _, variance, mean_inv = _stats(params, spec)
-    return params.n_data * variance + 1.0 - mean_inv * mean_inv
-
-
-def avg_rate_hybrid(
-    params: SystemParams, p_fa_cd: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Average achievable rate over the n'*F data symbols.
-
-    Rbar = E[I] - sqrt(V / (n' F)) * Qinv(p) with V from
-    :func:`dispersion_block_fading`.
-    """
-    n_data_total = params.n_data * params.F
-    if n_data_total < 1:
-        raise NumericError("average rate needs at least one data symbol")
-    mean_info, _, _ = _stats(params, spec)
-    v = dispersion_block_fading(params, spec)
-    return mean_info - math.sqrt(v / n_data_total) * q_inverse(p_fa_cd)
-
-
-def b_key_hybrid(
-    params: SystemParams, p_fa_cd: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> RateReport:
+def b_key_hybrid(params: SystemParams, p_fa_cd: float) -> RateReport:
     """Key budget of the coding check inside the hybrid mechanism.
 
-    Uses the block-fading average rate over the n' data symbols of each
-    frame.  An all-pilot frame carries no codeword: the report then has
-    rate 0 and b_key 0 by convention.
+    Rbar = E[I] - sqrt(V / (n' F)) * Qinv(p) over the n'*F data symbols,
+    with the block-fading dispersion V = n' * Var[I] + 1 -
+    E[1/(1 + h^2 lambda_B)]^2 and the moments taken over h uniform on
+    [h_min, h_max].  An all-pilot frame carries no codeword: the report
+    then has rate 0 and b_key 0 by convention.
     """
-    mean_info, _, _ = _stats(params, spec)
-    i_xz = eavesdropper_info(params.lambda_T)
-    v = dispersion_block_fading(params, spec)
-    if params.n_data == 0:
+    mean_info, variance, mean_inv = _uniform_amplitude_stats(
+        params.h_min, params.h_max, params.lambda_B
+    )
+    dispersion = params.n_data * variance + 1.0 - mean_inv * mean_inv
+    n_data_total = params.n_data * params.F
+    if n_data_total == 0:
         return RateReport(
             i_xy=mean_info,
-            i_xz=i_xz,
-            dispersion=v,
+            i_xz=eavesdropper_info(params.lambda_T),
+            dispersion=dispersion,
             rate=0.0,
             b_key_1=-float(params.b_M),
             b_key_2=0.0,
         )
-    rate = avg_rate_hybrid(params, p_fa_cd, spec)
-    n_data_total = params.n_data * params.F
-    return RateReport(
-        i_xy=mean_info,
-        i_xz=i_xz,
-        dispersion=v,
-        rate=rate,
-        b_key_1=n_data_total * rate - params.b_M,
-        b_key_2=n_data_total * (rate - i_xz),
-    )
+    rate = mean_info - math.sqrt(dispersion / n_data_total) * q_inverse(p_fa_cd)
+    return _budget(params, mean_info, dispersion, rate, n_data_total)

@@ -22,11 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import channel, coding
+from .channel import ChannelGeometry
+from .coding import RateReport
 from .errors import InvalidPilotCount, InvalidRange
 from .params import SecurityReport, SystemParams
 
 __all__ = [
+    "Evaluation",
     "OptimizationGrid",
+    "evaluate",
     "hybrid_bits",
     "baseline_ch",
     "baseline_cd",
@@ -39,15 +43,11 @@ class OptimizationGrid:
     """Search space for :func:`optimize`.
 
     ``pilot_counts`` defaults to every interior count 1..n-1 and
-    ``h_min_values`` to 101 uniform points on [0, h_max].  ``split`` is
-    the fraction of the false-alarm budget given to the channel check
-    (fixed at even halves by default; it is a sensitivity hook, not a
-    search dimension).
+    ``h_min_values`` to 101 uniform points on [0, h_max].
     """
 
     pilot_counts: tuple[int, ...] | None = None
     h_min_values: tuple[float, ...] | None = None
-    split: float = 0.5
     include_channel_only: bool = True
 
     def resolve(self, params: SystemParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -68,67 +68,64 @@ class OptimizationGrid:
         return tuple(pilots), tuple(h_values)
 
 
-def hybrid_bits(
-    params: SystemParams, split: float = 0.5, exact_threshold: bool = False
-) -> SecurityReport:
-    """Secret bits of the hybrid mechanism at the configured operating point.
+@dataclass(frozen=True)
+class Evaluation:
+    """One mechanism at one operating point: its report and what produced it.
 
-    Requires an interior pilot split (1 <= pilots <= n-1): both checks
-    must actually run.  The channel check gets split * p_FA of the budget
-    and the coding check the rest.
+    ``geometry`` is the channel check (None for CD) and ``rates`` the
+    coding check (None for CH).
     """
+
+    report: SecurityReport
+    geometry: ChannelGeometry | None
+    rates: RateReport | None
+
+
+def evaluate(
+    params: SystemParams, mechanism: str, exact_threshold: bool = False
+) -> Evaluation:
+    """Evaluate CH, CD or HYBRID at the configured operating point.
+
+    CH forces every symbol a pilot and h_min = 0; CD forces no pilots and
+    the amplitude pinned at h_max; both spend the full false-alarm budget
+    on their one check.  HYBRID requires an interior pilot split
+    (1 <= pilots <= n-1) and gives each check half the budget.
+    """
+    if mechanism == "CH":
+        forced = params.replace(pilot_count=params.n, h_min=0.0)
+        geometry = channel.equivalent_key_bits(forced, params.p_FA, exact_threshold)
+        report = SecurityReport("CH", geometry.b_ch, 0.0, alpha_used=1.0, h_min_used=0.0)
+        return Evaluation(report, geometry, None)
+    if mechanism == "CD":
+        forced = params.replace(pilot_count=0, h_min=params.h_max)
+        rates = coding.b_key_cd(forced, params.p_FA)
+        report = SecurityReport("CD", 0.0, rates.b_key, alpha_used=0.0, h_min_used=params.h_max)
+        return Evaluation(report, None, rates)
+    if mechanism != "HYBRID":
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     if not 1 <= params.pilot_count <= params.n - 1:
         raise InvalidPilotCount(
             f"hybrid needs 1 <= pilot_count <= n-1, got {params.pilot_count} of n={params.n}"
         )
-    if not 0.0 < split < 1.0:
-        raise InvalidRange(f"split must lie in (0, 1), got {split!r}")
-    geometry = channel.equivalent_key_bits(params, split * params.p_FA, exact_threshold)
-    rates = coding.b_key_hybrid(params, (1.0 - split) * params.p_FA)
-    return SecurityReport(
-        mechanism="HYBRID",
-        b_ch=geometry.b_ch,
-        b_key=rates.b_key,
-        alpha_used=params.alpha,
-        h_min_used=params.h_min,
-    )
+    geometry = channel.equivalent_key_bits(params, 0.5 * params.p_FA, exact_threshold)
+    rates = coding.b_key_hybrid(params, 0.5 * params.p_FA)
+    report = SecurityReport("HYBRID", geometry.b_ch, rates.b_key, params.alpha, params.h_min)
+    return Evaluation(report, geometry, rates)
+
+
+def hybrid_bits(params: SystemParams, exact_threshold: bool = False) -> SecurityReport:
+    """Secret bits of the hybrid mechanism at the configured operating point."""
+    return evaluate(params, "HYBRID", exact_threshold).report
 
 
 def baseline_ch(params: SystemParams, exact_threshold: bool = False) -> SecurityReport:
     """Channel-only mechanism: all pilots, h_min = 0, full budget on the test."""
-    forced = params.replace(pilot_count=params.n, h_min=0.0)
-    geometry = channel.equivalent_key_bits(forced, params.p_FA, exact_threshold)
-    return SecurityReport(
-        mechanism="CH",
-        b_ch=geometry.b_ch,
-        b_key=0.0,
-        alpha_used=1.0,
-        h_min_used=0.0,
-    )
+    return evaluate(params, "CH", exact_threshold).report
 
 
 def baseline_cd(params: SystemParams) -> SecurityReport:
     """Coding-only mechanism: no pilots, amplitude pinned at h_max, full budget."""
-    forced = params.replace(pilot_count=0, h_min=params.h_max)
-    rates = coding.b_key_cd(forced, params.p_FA)
-    return SecurityReport(
-        mechanism="CD",
-        b_ch=0.0,
-        b_key=rates.b_key,
-        alpha_used=0.0,
-        h_min_used=params.h_max,
-    )
-
-
-def _better(candidate: SecurityReport, incumbent: SecurityReport | None) -> bool:
-    # Ties prefer fewer pilots, then a larger h_min.
-    if incumbent is None:
-        return True
-    if candidate.b_tot != incumbent.b_tot:
-        return candidate.b_tot > incumbent.b_tot
-    if candidate.alpha_used != incumbent.alpha_used:
-        return candidate.alpha_used < incumbent.alpha_used
-    return candidate.h_min_used > incumbent.h_min_used
+    return evaluate(params, "CD").report
 
 
 def optimize(
@@ -139,14 +136,13 @@ def optimize(
     """Exhaustive grid search for the (pilot count, h_min) maximizing b_tot.
 
     Deterministic regardless of grid ordering: the winner is the strict
-    lexicographic maximum of (b_tot, -alpha, h_min).
+    lexicographic maximum of (b_tot, -alpha, h_min), so ties prefer fewer
+    pilots, then a larger h_min.
     """
-    best: SecurityReport | None = None
-    for report in evaluate_grid(params, grid, exact_threshold):
-        if _better(report, best):
-            best = report
-    assert best is not None  # grids resolve to at least one cell
-    return best
+    return max(
+        evaluate_grid(params, grid, exact_threshold),
+        key=lambda r: (r.b_tot, -r.alpha_used, r.h_min_used),
+    )
 
 
 def evaluate_grid(
@@ -159,15 +155,6 @@ def evaluate_grid(
     for pilot_count in pilots:
         for h_min in h_values:
             point = params.replace(pilot_count=pilot_count, h_min=h_min)
-            yield hybrid_bits(point, grid.split, exact_threshold)
+            yield hybrid_bits(point, exact_threshold)
     if grid.include_channel_only:
         yield baseline_ch(params, exact_threshold)
-
-
-def grid_rows(
-    params: SystemParams,
-    grid: OptimizationGrid = OptimizationGrid(),
-    exact_threshold: bool = False,
-) -> list[SecurityReport]:
-    """Materialized :func:`evaluate_grid`, for CSV dumps of the whole search."""
-    return list(evaluate_grid(params, grid, exact_threshold))

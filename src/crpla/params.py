@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
 from .errors import (
@@ -31,8 +31,9 @@ __all__ = [
     "validate",
     "params_from_config",
     "params_to_config",
+    "db_to_linear",
+    "read_json_object",
     "load_params",
-    "dump_params",
 ]
 
 MECHANISMS = ("CH", "CD", "HYBRID")
@@ -150,6 +151,14 @@ def _pilots_from_alpha(alpha: float, n: int) -> int:
     return int(rounded)
 
 
+def db_to_linear(db: float) -> float:
+    """Linear SNR scale 10**(dB / 10); a dB value too large for a float is a config error."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError as exc:
+        raise ConfigParseError(f"lambda_B_dB = {db!r} overflows the linear scale") from exc
+
+
 def _require(config: Mapping[str, Any], key: str) -> Any:
     if key not in config:
         raise ConfigParseError(f"missing required key {key!r}")
@@ -215,7 +224,7 @@ def params_from_config(config: Mapping[str, Any]) -> SystemParams:
 
     snr_key = _exactly_one(config, "lambda_B_dB", "lambda_B")
     if snr_key == "lambda_B_dB":
-        lambda_b = 10.0 ** (_as_number(config["lambda_B_dB"], "lambda_B_dB") / 10.0)
+        lambda_b = db_to_linear(_as_number(config["lambda_B_dB"], "lambda_B_dB"))
     else:
         lambda_b = _as_number(config["lambda_B"], "lambda_B")
 
@@ -248,34 +257,30 @@ def params_to_config(params: SystemParams) -> dict[str, Any]:
     not mutually invertible at double precision, and a round trip through
     this mapping must reproduce the value bit-exactly.
     """
-    return {
-        "n": params.n,
-        "F": params.F,
-        "pilot_count": params.pilot_count,
-        "b_M": params.b_M,
-        "p_FA": params.p_FA,
-        "lambda_B": params.lambda_B,
-        "lambda_T": params.lambda_T,
-        "h_min": params.h_min,
-        "h_max": params.h_max,
-    }
+    return asdict(params)
 
 
-def load_params(path: str) -> SystemParams:
-    """Read and validate a parameter config file."""
+def read_json_object(path: str) -> dict[str, Any]:
+    """Read a JSON config file whose top-level value must be an object.
+
+    The non-standard constants NaN, Infinity and -Infinity are rejected.
+    """
+
+    def reject_constant(name: str) -> Any:
+        raise ConfigParseError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top-level JSON value must be an object")
-    return params_from_config(raw)
+    return raw
 
 
-def dump_params(params: SystemParams, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_config(params), fh, indent=2)
-        fh.write("\n")
+def load_params(path: str) -> SystemParams:
+    """Read and validate a parameter config file."""
+    return params_from_config(read_json_object(path))

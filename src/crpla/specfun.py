@@ -9,7 +9,6 @@ Everything here is a thin, contract-checked layer over ``math`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy import integrate, special
@@ -17,7 +16,6 @@ from scipy import integrate, special
 from .errors import ConvergenceError, DegenerateInterval, DomainError
 
 __all__ = [
-    "QuadratureSpec",
     "q_function",
     "q_inverse",
     "log_gamma",
@@ -27,22 +25,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for :func:`uniform_expectation`."""
-
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2**20
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Accuracy contract of uniform_expectation.
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 2**20
 
 
 def q_function(x: float) -> float:
@@ -84,13 +69,9 @@ def chi_square_sf(x: float, k: int) -> float:
     return float(special.gammaincc(k / 2.0, x / 2.0))
 
 
-def uniform_expectation(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Mean of f(H) for H uniform on [a, b], via adaptive quadrature.
+def uniform_expectation(f: Callable[[float], float], a: float, b: float) -> float:
+    """Mean of f(H) for H uniform on [a, b], via adaptive quadrature to
+    relative tolerance REL_TOL within MAX_SUBDIVISIONS subintervals.
 
     Raises :class:`DegenerateInterval` when a == b; the caller decides
     whether a point evaluation f(a) is the right reading there.
@@ -104,16 +85,16 @@ def uniform_expectation(
 
     # QUADPACK preallocates workspace proportional to `limit`, so escalate
     # instead of always paying for the full subdivision budget.
-    limit = min(200, spec.max_subdivisions)
+    limit = 200
     while True:
         result = integrate.quad(
-            f, a, b, epsabs=0.0, epsrel=spec.rel_tol, limit=limit, full_output=1
+            f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=limit, full_output=1
         )
         if len(result) == 3:  # (value, abserr, info): converged
             return result[0] / (b - a)
-        if limit >= spec.max_subdivisions:
+        if limit >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
-                f"quadrature on [{a}, {b}] did not reach rel_tol={spec.rel_tol} "
-                f"within {spec.max_subdivisions} subdivisions: {result[-1]}"
+                f"quadrature on [{a}, {b}] did not reach rel_tol={REL_TOL} "
+                f"within {MAX_SUBDIVISIONS} subdivisions: {result[-1]}"
             )
-        limit = min(limit * 32, spec.max_subdivisions)
+        limit = min(limit * 32, MAX_SUBDIVISIONS)

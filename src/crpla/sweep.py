@@ -23,7 +23,8 @@ output is byte-stable across runs and worker counts.
 
 from __future__ import annotations
 
-import json
+import contextlib
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -32,9 +33,15 @@ from typing import Mapping, Sequence
 
 from . import hybrid
 from .errors import ConfigParseError
-from .params import SecurityReport, SystemParams, params_from_config
+from .params import (
+    SecurityReport,
+    SystemParams,
+    db_to_linear,
+    params_from_config,
+    read_json_object,
+)
 
-__all__ = ["SweepSpec", "load_sweep_spec", "run_sweep", "write_csv", "CSV_COLUMNS"]
+__all__ = ["SweepSpec", "load_sweep_spec", "run_sweep", "write_csv", "write_atomic", "CSV_COLUMNS"]
 
 SWEEP_VARIABLES = ("h_min", "lambda_ratio", "lambda_B_dB", "F", "alpha")
 SWEEP_MECHANISMS = ("CH", "CD", "HYBRID", "HYBRID_OPT")
@@ -63,15 +70,7 @@ class SweepSpec:
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, Mapping):
-        raise ConfigParseError(f"{path}: top-level JSON value must be an object")
+    raw = read_json_object(path)
     unknown = set(raw) - {"sweep", "mechanisms", "params"}
     if unknown:
         raise ConfigParseError(f"unknown top-level keys in sweep spec: {sorted(unknown)}")
@@ -83,9 +82,10 @@ def load_sweep_spec(path: str) -> SweepSpec:
         raise ConfigParseError("'sweep' must be an object with keys 'variable' and 'values'")
     values = sweep_block["values"]
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
     ):
-        raise ConfigParseError("'sweep.values' must be a list of numbers")
+        raise ConfigParseError("'sweep.values' must be a list of finite numbers")
     mechanisms = raw["mechanisms"]
     if not isinstance(mechanisms, list):
         raise ConfigParseError("'mechanisms' must be a list")
@@ -104,7 +104,7 @@ def apply_swept_value(params: SystemParams, variable: str, value: float) -> Syst
     if variable == "lambda_ratio":
         return params.replace(lambda_T=value * params.lambda_B)
     if variable == "lambda_B_dB":
-        lambda_b = 10.0 ** (value / 10.0)
+        lambda_b = db_to_linear(value)
         ratio = params.lambda_T / params.lambda_B
         return params.replace(lambda_B=lambda_b, lambda_T=ratio * lambda_b)
     if variable == "F":
@@ -132,18 +132,14 @@ def evaluate_point(task: tuple) -> list[SecurityReport]:
     point = apply_swept_value(params, variable, value)
     reports: list[SecurityReport] = []
     for mechanism in mechanisms:
-        if mechanism == "CH":
-            reports.append(hybrid.baseline_ch(point, exact_threshold))
-        elif mechanism == "CD":
-            reports.append(hybrid.baseline_cd(point))
-        elif mechanism == "HYBRID":
-            reports.append(hybrid.hybrid_bits(point, exact_threshold=exact_threshold))
-        else:
+        if mechanism == "HYBRID_OPT":
             # The optimizer may saturate to a baseline report; the row is
             # still labeled with the requested mechanism.
             reports.append(
                 hybrid.optimize(point, _opt_grid(point, variable), exact_threshold)
             )
+        else:
+            reports.append(hybrid.evaluate(point, mechanism, exact_threshold).report)
     return reports
 
 
@@ -172,37 +168,35 @@ def _fmt(x: float) -> str:
 
 
 def report_row(variable: str, value: float, label: str, report: SecurityReport) -> str:
-    return ",".join(
-        (
-            variable,
-            _fmt(value),
-            label,
-            _fmt(report.alpha_used),
-            _fmt(report.h_min_used),
-            _fmt(report.b_ch),
-            _fmt(report.b_key),
-            _fmt(report.b_tot),
-        )
-    )
+    numbers = (report.alpha_used, report.h_min_used, report.b_ch, report.b_key, report.b_tot)
+    return ",".join((variable, _fmt(value), label, *map(_fmt, numbers)))
 
 
 def write_csv(
     rows: Sequence[tuple[float, str, SecurityReport]], variable: str, path: str
 ) -> None:
-    """Write rows atomically: the target file appears complete or not at all."""
-    payload = ",".join(CSV_COLUMNS) + "\n"
-    for value, label, report in rows:
-        payload += report_row(variable, value, label, report) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".csv")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    """Write the CSV header and rows through :func:`write_atomic`."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [report_row(variable, value, label, report) for value, label, report in rows]
+    write_atomic(path, "\n".join(lines) + "\n")
 
+
+def write_atomic(path: str, payload: str) -> None:
+    """Write ``payload`` so the target file appears complete or not at all.
+
+    Any OSError (missing or unwritable directory, full disk) is reported
+    as a ConfigParseError naming ``path``.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".crpla-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise ConfigParseError(f"cannot write {path}: {exc.strerror or exc}") from exc

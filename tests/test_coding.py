@@ -1,5 +1,8 @@
 """Coding-security tests: rates, dispersions, key budgets.
 
+Rates and dispersions are read from the ``RateReport`` of the budget
+functions, the only place they are computed.
+
 Each derived expectation is recomputed through an independent route in
 the test body: closed-form antiderivatives, midpoint Riemann sums, a
 seeded sampling oracle for the block-fading dispersion, and a from-
@@ -13,15 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpla.coding import (
-    avg_rate_hybrid,
-    b_key_cd,
-    b_key_hybrid,
-    dispersion_block_fading,
-    eavesdropper_info,
-    mutual_info_fixed,
-    rate_cd,
-)
+from crpla.coding import b_key_cd, b_key_hybrid, eavesdropper_info, mutual_info_fixed
 from crpla.params import SystemParams
 from crpla.specfun import q_inverse
 
@@ -71,7 +66,7 @@ class TestMutualInformation:
 class TestRateCd:
     def test_no_back_off_at_half(self):
         params = make(pilot_count=0, h_min=1.0)
-        assert rate_cd(params, 0.5) == pytest.approx(
+        assert b_key_cd(params, 0.5).rate == pytest.approx(
             mutual_info_fixed(1.0, params.lambda_B), rel=1e-14
         )
 
@@ -79,14 +74,14 @@ class TestRateCd:
         small = make(pilot_count=0, h_min=1.0, F=10)
         big = make(pilot_count=0, h_min=1.0, F=1_000_000)
         info = mutual_info_fixed(1.0, small.lambda_B)
-        assert info - rate_cd(big, 1e-7) < (info - rate_cd(small, 1e-7)) / 100.0
+        assert info - b_key_cd(big, 1e-7).rate < (info - b_key_cd(small, 1e-7).rate) / 100.0
 
     def test_term_by_term_recomputation(self):
         params = make(pilot_count=0, h_min=1.0, lambda_B=1e5)
         s = 1e5
         back_off = math.sqrt(s * (s + 2.0) * LOG2E**2 / ((s + 1.0) ** 2 * 1000.0)) * q_inverse(5e-8)
         expected = math.log2(1.0 + s) - back_off
-        assert rate_cd(params, 5e-8) == pytest.approx(expected, rel=1e-12)
+        assert b_key_cd(params, 5e-8).rate == pytest.approx(expected, rel=1e-12)
 
     def test_h_max_enters_effective_snr(self):
         shrunk = make(pilot_count=0, h_min=0.5, h_max=0.5)
@@ -94,7 +89,7 @@ class TestRateCd:
         expected = math.log2(1.0 + s) - math.sqrt(
             s * (s + 2.0) * LOG2E**2 / ((s + 1.0) ** 2 * 1000.0)
         ) * q_inverse(1e-7)
-        assert rate_cd(shrunk, 1e-7) == pytest.approx(expected, rel=1e-12)
+        assert b_key_cd(shrunk, 1e-7).rate == pytest.approx(expected, rel=1e-12)
 
 
 def _scripted_cd_budget(n, F, b_m, p_fa, lambda_b, lambda_t, h_max=1.0):
@@ -115,7 +110,7 @@ class TestBKeyCd:
 
     def test_message_consumes_rate(self):
         params = make(pilot_count=0, h_min=1.0, lambda_T=1e-6)
-        rate = rate_cd(params, 1e-7)
+        rate = b_key_cd(params, 1e-7).rate
         greedy = params.replace(b_M=int(params.n * params.F * rate) + 1)
         assert b_key_cd(greedy, 1e-7).b_key == 0.0
 
@@ -144,18 +139,18 @@ class TestDispersionBlockFading:
     def test_degenerate_interval_matches_closed_form(self):
         params = make(h_min=0.7, h_max=0.7, pilot_count=1)
         s = 0.49 * params.lambda_B
-        assert dispersion_block_fading(params) == pytest.approx(
+        assert b_key_hybrid(params, params.p_FA).dispersion == pytest.approx(
             1.0 - 1.0 / (1.0 + s) ** 2, rel=1e-12
         )
 
     def test_vanishes_at_zero_snr(self):
         params = make(lambda_B=1e-9, lambda_T=1e-9)
-        assert dispersion_block_fading(params) < 1e-8
+        assert b_key_hybrid(params, params.p_FA).dispersion < 1e-8
 
     def test_against_sampling_oracle(self):
         # h in [0.7, 1], lambda 1e4, n' = 9: compare with 1e7 sampled uniforms
         params = make(h_min=0.7, lambda_B=1e4, pilot_count=1)
-        value = dispersion_block_fading(params)
+        value = b_key_hybrid(params, params.p_FA).dispersion
         rng = np.random.default_rng(314159)
         h = rng.uniform(0.7, 1.0, 10_000_000)
         info = np.log2(1.0 + h * h * 1e4)
@@ -167,7 +162,7 @@ class TestDispersionBlockFading:
     def test_quadrature_vs_riemann_moments(self):
         for lam in (1e2, 1e3, 1e5):
             params = make(h_min=0.5, lambda_B=lam, pilot_count=1)
-            value = dispersion_block_fading(params)
+            value = b_key_hybrid(params, params.p_FA).dispersion
             e_info = _riemann(lambda h: np.log2(1.0 + h * h * lam), 0.5, 1.0)
             e_info2 = _riemann(lambda h: np.log2(1.0 + h * h * lam) ** 2, 0.5, 1.0)
             e_inv = _riemann(lambda h: 1.0 / (1.0 + h * h * lam), 0.5, 1.0)
@@ -178,7 +173,7 @@ class TestDispersionBlockFading:
 class TestAvgRateHybrid:
     def test_no_back_off_at_half(self):
         params = make()
-        rate = avg_rate_hybrid(params, 0.5)
+        rate = b_key_hybrid(params, 0.5).rate
         a = math.sqrt(params.lambda_B)
         antider = lambda h: h * math.log(1.0 + a * a * h * h) - 2.0 * h + (2.0 / a) * math.atan(a * h)
         mean_info = (antider(1.0) - antider(0.8)) / math.log(2.0) / 0.2
@@ -187,7 +182,7 @@ class TestAvgRateHybrid:
     def test_degenerate_interval_structure(self):
         # pinned amplitude: mean information collapses to the fixed-SNR value
         params = make(h_min=1.0, h_max=1.0, pilot_count=0)
-        rate = avg_rate_hybrid(params, 1e-7)
+        rate = b_key_hybrid(params, 1e-7).rate
         s = params.lambda_B
         v = 1.0 - 1.0 / (1.0 + s) ** 2
         expected = math.log2(1.0 + s) - math.sqrt(v / 1000.0) * q_inverse(1e-7)
@@ -195,7 +190,7 @@ class TestAvgRateHybrid:
 
     def test_scripted_recomputation(self):
         params = make(h_min=0.8, lambda_B=1e5, pilot_count=1)
-        rate = avg_rate_hybrid(params, 5e-8)
+        rate = b_key_hybrid(params, 5e-8).rate
         a = math.sqrt(1e5)
         antider = lambda h: h * math.log(1.0 + a * a * h * h) - 2.0 * h + (2.0 / a) * math.atan(a * h)
         mean_info = (antider(1.0) - antider(0.8)) / math.log(2.0) / 0.2

@@ -7,7 +7,14 @@ import pytest
 
 from crpla import channel, coding
 from crpla.errors import InvalidPilotCount, InvalidRange, NarrowMarginWarning
-from crpla.hybrid import OptimizationGrid, baseline_cd, baseline_ch, hybrid_bits, optimize
+from crpla.hybrid import (
+    OptimizationGrid,
+    baseline_cd,
+    baseline_ch,
+    evaluate,
+    hybrid_bits,
+    optimize,
+)
 from crpla.params import SystemParams
 
 # Regression anchors, frozen after the first verified computation.
@@ -65,9 +72,31 @@ class TestHybridBits:
         with pytest.raises(InvalidPilotCount):
             hybrid_bits(make(pilot_count=pilots))
 
-    def test_split_validated(self):
-        with pytest.raises(InvalidRange):
-            hybrid_bits(make(), split=0.0)
+
+class TestEvaluate:
+    def test_hybrid_carries_both_checks(self):
+        ev = evaluate(make(), "HYBRID")
+        assert ev.geometry == channel.equivalent_key_bits(make(), 0.5e-7)
+        assert ev.rates == coding.b_key_hybrid(make(), 0.5e-7)
+        assert ev.report == hybrid_bits(make())
+
+    def test_ch_carries_only_geometry(self):
+        ev = evaluate(make(), "CH")
+        forced = make(pilot_count=10, h_min=0.0)
+        assert ev.geometry == channel.equivalent_key_bits(forced, 1e-7)
+        assert ev.rates is None
+        assert ev.report == baseline_ch(make())
+
+    def test_cd_carries_only_rates(self):
+        ev = evaluate(make(), "CD")
+        forced = make(pilot_count=0, h_min=1.0)
+        assert ev.rates == coding.b_key_cd(forced, 1e-7)
+        assert ev.geometry is None
+        assert ev.report == baseline_cd(make())
+
+    def test_unknown_mechanism(self):
+        with pytest.raises(ValueError):
+            evaluate(make(), "HYBRID_OPT")
 
 
 class TestBaselines:
@@ -171,6 +200,14 @@ class TestOptimize:
                 params, OptimizationGrid(tuple(pilots), tuple(h_values))
             )
             assert shuffled == reference
+
+    def test_ties_prefer_fewer_pilots_then_larger_h_min(self):
+        # clamped sphere and a stronger attacker: every cell is worth 0 bits
+        params = make(lambda_B=1e-6, lambda_T=1.0)
+        grid = OptimizationGrid(pilot_counts=(3, 1, 2), h_min_values=(0.2, 0.9, 0.5))
+        best = optimize(params, grid)
+        assert best.b_tot == 0.0
+        assert (best.alpha_used, best.h_min_used) == (0.1, 0.9)
 
     def test_saturates_to_channel_baseline(self):
         # strong attacker: coding never pays, optimum is the alpha=1 endpoint

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from crpla.errors import DegenerateInterval, DomainError
 from crpla.specfun import (
-    QuadratureSpec,
     chi_square_sf,
     log_gamma,
     q_function,
@@ -182,9 +181,3 @@ class TestUniformExpectation:
         direct = uniform_expectation(f, 0.4, 0.9)
         mapped = uniform_expectation(lambda u: f(0.4 + 0.5 * u), 0.0, 1.0)
         assert direct == pytest.approx(mapped, rel=1e-10)
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)

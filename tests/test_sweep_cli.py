@@ -173,7 +173,7 @@ class TestCsv:
         with pytest.raises(Exception):
             write_csv(run_sweep(spec), spec.variable, str(out))
         assert not out.exists()
-        assert not list(tmp_path.glob(".sweep-*"))
+        assert not list(tmp_path.glob(".crpla-*"))
 
 
 class TestCli:
@@ -285,6 +285,101 @@ class TestCli:
         stdout = capsys.readouterr().out
         best = hybrid.optimize(params_from_config(BASE_PARAMS))
         assert f"{best.b_tot:16.6f}".strip() in stdout
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestInputErrors:
+    """Malformed inputs end in exit 1 and a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_sweep_value(self, tmp_path, capsys, constant):
+        spec = spec_dict(sweep={"variable": "F", "values": [2, "@"]})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec).replace('"@"', constant))
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
+        assert cli.main(argv) == 1
+        assert constant in _one_line_error(capsys)
+
+    def test_overflowing_sweep_value(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        spec = spec_dict(sweep={"variable": "F", "values": [2]})
+        path.write_text(json.dumps(spec).replace("[2]", "[1e400]"))  # parses as inf
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
+        assert cli.main(argv) == 1
+        _one_line_error(capsys)
+
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(BASE_PARAMS, h_min="@")).replace('"@"', "NaN"))
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        assert "NaN" in _one_line_error(capsys)
+
+    def test_db_overflow_in_config(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", dict(BASE_PARAMS, lambda_B_dB=4000))
+        assert cli.main(["analyze", "--config", path]) == 1
+        assert "lambda_B_dB" in _one_line_error(capsys)
+
+    def test_db_overflow_in_sweep(self, tmp_path, capsys):
+        spec = spec_dict(sweep={"variable": "lambda_B_dB", "values": [40, 4000]})
+        path = write_json(tmp_path / "s.json", spec)
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
+        assert cli.main(argv) == 1
+        assert "lambda_B_dB" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "{spec}", "--out", "{missing}/o.csv", "--jobs", "1"],
+            ["analyze", "--config", "{point}", "--out", "{missing}/o.json"],
+            ["optimize", "--config", "{point}", "--grid-csv", "{missing}/g.csv"],
+        ],
+        ids=["sweep", "analyze", "optimize"],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        paths = {
+            "spec": write_json(tmp_path / "s.json", spec_dict()),
+            "point": write_json(tmp_path / "p.json", BASE_PARAMS),
+            "missing": str(tmp_path / "no-such-dir"),
+        }
+        assert cli.main([a.format(**paths) for a in argv]) == 1
+        assert "cannot write" in _one_line_error(capsys)
+
+    def test_analyze_out_is_atomic(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path / "p.json", BASE_PARAMS)
+        out = tmp_path / "report.json"
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        assert cli.main(["analyze", "--config", cfg, "--quiet", "--out", str(out)]) == 1
+        assert "cannot write" in _one_line_error(capsys)
+        assert not out.exists()
+        assert not list(tmp_path.glob(".crpla-*"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_jobs_must_be_positive(self, tmp_path, capsys, command, jobs):
+        if command == "sweep":
+            cfg = write_json(tmp_path / "s.json", spec_dict())
+            extra = ["--out", str(tmp_path / "o.csv")]
+        else:
+            cfg = write_json(tmp_path / "p.json", _small_f_config())
+            extra = ["--trials", "100"]
+        assert cli.main([command, "--config", cfg, *extra, "--jobs", jobs]) == 1
+        assert "--jobs" in _one_line_error(capsys)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_simulate_quiet_prints_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", _small_f_config())
+        argv = ["simulate", "--config", cfg, "--trials", "20000", "--seed", "1", "--jobs", "1"]
+        assert cli.main(argv + ["--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 def _small_f_config():
