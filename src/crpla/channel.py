@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import special
@@ -39,6 +39,7 @@ __all__ = [
     "threshold_from_pfa",
     "threshold_from_pfa_exact",
     "test_statistic",
+    "geometry",
     "log2_p_succ",
     "equivalent_key_bits",
 ]
@@ -48,11 +49,12 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ChannelGeometry:
-    """Acceptance-region geometry of the channel check at one setting.
+    """Acceptance-region geometry of the channel check.
 
     ``log2_p_succ`` is min(0, log2 V_sphere - log2 V_cubes); ``b_ch`` is
     its negation.  ``radius`` satisfies radius**2 =
-    (sqrt(2F) * tau + F) * sigma_h_sq.
+    (sqrt(2F) * tau + F) * sigma_h_sq.  The fields are floats for one
+    setting and numpy arrays for a grid of them (see :func:`geometry`).
     """
 
     tau: float
@@ -67,11 +69,16 @@ class ChannelGeometry:
         return -self.log2_p_succ + 0.0  # normalizes -0.0 at the clamp
 
 
-def sigma_h_sq(params: SystemParams) -> float:
-    """Variance of the per-frame amplitude estimator, 1 / (lambda_B * pilots)."""
-    if params.pilot_count < 1:
+def sigma_h_sq(params: SystemParams, pilot_count=None):
+    """Variance of the per-frame amplitude estimator, 1 / (lambda_B * pilots).
+
+    ``pilot_count`` defaults to the configured count; an array gives one
+    variance per count.
+    """
+    pilots = params.pilot_count if pilot_count is None else pilot_count
+    if np.any(np.less(pilots, 1)):
         raise InvalidPilotCount("amplitude estimation needs at least one pilot per frame")
-    return 1.0 / (params.lambda_B * params.pilot_count)
+    return 1.0 / (params.lambda_B * pilots)
 
 
 def threshold_from_pfa(p_fa_ch: float) -> float:
@@ -116,40 +123,38 @@ def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
 
 
-def _geometry(params: SystemParams, tau: float) -> ChannelGeometry:
-    """Acceptance-region geometry at threshold ``tau``.
+def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeometry:
+    """Acceptance-region geometry at threshold ``tau`` for each pilot count
+    and h_min.
+
+    ``pilot_count`` and ``h_min`` broadcast against each other like numpy
+    arrays: a column of counts and a row of h_min values give one cell per
+    pair, and two scalars give numpy scalars.
 
     log2_p_succ = min(0, F * log2(sqrt(pi) * radius / (2 (h_max - h_min)))
     - log2 Gamma(F/2 + 1)), never materializing the volumes themselves.  A
     zero-width amplitude interval means no challenge randomness at all; by
     convention the attack then succeeds freely (log2_p_succ = 0, b_ch = 0).
     """
-    var = sigma_h_sq(params)
+    var = sigma_h_sq(params, pilot_count)
     F = params.F
-    span = params.amplitude_span
+    span = params.h_max - np.asarray(h_min, dtype=float)
     chi = math.sqrt(2.0 * F) * tau + F
-    radius = math.sqrt(chi) * math.sqrt(var) if chi > 0.0 else 0.0
+    radius = (math.sqrt(chi) if chi > 0.0 else 0.0) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
-    if radius > 0.0:
-        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * math.log2(radius) - log2_gamma_term
-    else:
-        log2_v_sphere = float("-inf")
-    log2_v_cube = F * (1.0 + math.log2(span)) if span > 0.0 else float("-inf")
-    if span == 0.0:
-        exponent = 0.0
-    elif radius == 0.0:
-        exponent = float("-inf")  # empty acceptance sphere
-    else:
-        if radius > 0.1 * span:
-            # Static message so repeated hits deduplicate to one line per run.
-            warnings.warn(
-                "sphere radius exceeds 10% of the amplitude span; the boundary-free "
-                "volume ratio is a coarse approximation in this regime",
-                NarrowMarginWarning,
-                stacklevel=2,
-            )
-        per_frame = math.log2(math.sqrt(math.pi) * radius / (2.0 * span))
-        exponent = min(0.0, F * per_frame - log2_gamma_term)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) = -inf is meant
+        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * np.log2(radius) - log2_gamma_term
+        log2_v_cube = F * (1.0 + np.log2(span))
+        per_frame = np.log2(math.sqrt(math.pi) * radius / (2.0 * span))
+        exponent = np.where(span > 0.0, np.minimum(0.0, F * per_frame - log2_gamma_term), 0.0)
+    if np.any((span > 0.0) & (radius > 0.1 * span)):
+        # Static message so repeated hits deduplicate to one line per run.
+        warnings.warn(
+            "sphere radius exceeds 10% of the amplitude span; the boundary-free "
+            "volume ratio is a coarse approximation in this regime",
+            NarrowMarginWarning,
+            stacklevel=2,
+        )
     return ChannelGeometry(
         tau=tau,
         sigma_h_sq=var,
@@ -160,9 +165,14 @@ def _geometry(params: SystemParams, tau: float) -> ChannelGeometry:
     )
 
 
+def _scalar_geometry(params: SystemParams, tau: float) -> ChannelGeometry:
+    g = geometry(params, tau, params.pilot_count, params.h_min)
+    return ChannelGeometry(*map(float, astuple(g)))
+
+
 def log2_p_succ(params: SystemParams, tau: float) -> float:
     """log2 of the attack-success probability at threshold ``tau``."""
-    return _geometry(params, tau).log2_p_succ
+    return _scalar_geometry(params, tau).log2_p_succ
 
 
 def equivalent_key_bits(
@@ -178,4 +188,4 @@ def equivalent_key_bits(
         if exact_threshold
         else threshold_from_pfa(p_fa_ch)
     )
-    return _geometry(params, tau)
+    return _scalar_geometry(params, tau)

@@ -169,11 +169,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    grid = hybrid.OptimizationGrid()
-    best = hybrid.optimize(params, grid, args.exact_threshold)
-    _print_report("OPTIMUM", best, args.quiet)
+    cells = hybrid.evaluate_grid(params, exact_threshold=args.exact_threshold)
+    _print_report("OPTIMUM", cells.best(), args.quiet)
     if args.grid_csv:
-        cells = hybrid.evaluate_grid(params, grid, args.exact_threshold)
         rows = [(cell.h_min_used, cell.mechanism, cell) for cell in cells]
         sweep.write_csv(rows, "h_min", args.grid_csv)
         if not args.quiet:

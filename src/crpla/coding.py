@@ -21,8 +21,10 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NumericError
 from .params import SystemParams
@@ -34,6 +36,7 @@ __all__ = [
     "eavesdropper_info",
     "b_key_cd",
     "b_key_hybrid",
+    "hybrid_rates",
 ]
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -46,7 +49,9 @@ class RateReport:
     ``rate`` is the finite-length achievable rate and ``dispersion`` the
     channel dispersion it backs off by.  ``b_key_1`` (rate budget minus
     message) and ``b_key_2`` (secrecy budget against the eavesdropper) may
-    be negative; ``b_key`` is their clamped minimum.
+    be negative; ``b_key`` is their clamped minimum.  The fields are
+    floats for one configuration and numpy arrays for a grid of them (see
+    :func:`hybrid_rates`).
     """
 
     i_xy: float
@@ -58,7 +63,8 @@ class RateReport:
 
     @property
     def b_key(self) -> float:
-        return max(0.0, min(self.b_key_1, self.b_key_2))
+        b_key = np.maximum(0.0, np.minimum(self.b_key_1, self.b_key_2))
+        return b_key if b_key.ndim else float(b_key)
 
 
 def mutual_info_fixed(h: float, lambda_b: float) -> float:
@@ -132,28 +138,38 @@ def _uniform_amplitude_stats(
     return mean_info, max(0.0, variance), mean_inv
 
 
-def b_key_hybrid(params: SystemParams, p_fa_cd: float) -> RateReport:
-    """Key budget of the coding check inside the hybrid mechanism.
+def _amplitude_moments(h_min, h_max: float, lambda_b: float):
+    """(E[I], Var[I], E[1/(1+h^2 lambda)]) for h uniform on [h_min, h_max],
+    elementwise over ``h_min``."""
+    stats = [_uniform_amplitude_stats(float(h), h_max, lambda_b) for h in np.ravel(h_min)]
+    return np.reshape(np.array(stats).T, (3,) + np.shape(h_min))
 
-    Rbar = E[I] - sqrt(V / (n' F)) * Qinv(p) over the n'*F data symbols,
-    with the block-fading dispersion V = n' * Var[I] + 1 -
+
+def hybrid_rates(params: SystemParams, q: float, pilot_count, h_min) -> RateReport:
+    """Coding check of the hybrid mechanism at back-off quantile ``q`` for
+    each pilot count and h_min.
+
+    Rbar = E[I] - sqrt(V / (n' F)) * q over the n'*F data symbols, with
+    the block-fading dispersion V = n' * Var[I] + 1 -
     E[1/(1 + h^2 lambda_B)]^2 and the moments taken over h uniform on
-    [h_min, h_max].  An all-pilot frame carries no codeword: the report
-    then has rate 0 and b_key 0 by convention.
+    [h_min, h_max].  An all-pilot frame carries no codeword: its rate is 0
+    by convention.  ``pilot_count`` and ``h_min`` broadcast against each
+    other like numpy arrays (a column of counts and a row of h_min values
+    give one cell per pair).
     """
-    mean_info, variance, mean_inv = _uniform_amplitude_stats(
-        params.h_min, params.h_max, params.lambda_B
-    )
-    dispersion = params.n_data * variance + 1.0 - mean_inv * mean_inv
-    n_data_total = params.n_data * params.F
-    if n_data_total == 0:
-        return RateReport(
-            i_xy=mean_info,
-            i_xz=eavesdropper_info(params.lambda_T),
-            dispersion=dispersion,
-            rate=0.0,
-            b_key_1=-float(params.b_M),
-            b_key_2=0.0,
-        )
-    rate = mean_info - math.sqrt(dispersion / n_data_total) * q_inverse(p_fa_cd)
+    mean_info, variance, mean_inv = _amplitude_moments(h_min, params.h_max, params.lambda_B)
+    n_data = params.n - np.asarray(pilot_count)
+    dispersion = n_data * variance + 1.0 - mean_inv * mean_inv
+    n_data_total = n_data * params.F
+    with np.errstate(divide="ignore", invalid="ignore"):
+        back_off = np.sqrt(dispersion / n_data_total) * q
+    rate = np.where(n_data_total > 0, mean_info - back_off, 0.0)
     return _budget(params, mean_info, dispersion, rate, n_data_total)
+
+
+def b_key_hybrid(params: SystemParams, p_fa_cd: float) -> RateReport:
+    """Key budget of the coding check inside the hybrid mechanism at the
+    configured pilot count and h_min, with back-off quantile Qinv(p_fa_cd)
+    (see :func:`hybrid_rates`)."""
+    rates = hybrid_rates(params, q_inverse(p_fa_cd), params.pilot_count, params.h_min)
+    return RateReport(*map(float, astuple(rates)))

@@ -20,21 +20,27 @@ is externally pinned, since the endpoint lives at h_min = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from . import channel, coding
 from .channel import ChannelGeometry
 from .coding import RateReport
 from .errors import InvalidPilotCount, InvalidRange
 from .params import SecurityReport, SystemParams
+from .specfun import q_inverse
 
 __all__ = [
     "Evaluation",
+    "GridCells",
     "OptimizationGrid",
     "evaluate",
     "hybrid_bits",
     "baseline_ch",
     "baseline_cd",
     "optimize",
+    "evaluate_grid",
 ]
 
 
@@ -128,6 +134,71 @@ def baseline_cd(params: SystemParams) -> SecurityReport:
     return evaluate(params, "CD").report
 
 
+@dataclass(frozen=True)
+class GridCells:
+    """Every cell of an optimizer grid, and the channel-only candidate.
+
+    ``b_ch`` and ``b_key`` are arrays with one row per pilot count and one
+    column per h_min value.  Iterating yields the report of every cell,
+    pilot-major, then the channel-only candidate when there is one.
+    """
+
+    params: SystemParams
+    pilot_counts: tuple[int, ...]
+    h_min_values: tuple[float, ...]
+    b_ch: np.ndarray
+    b_key: np.ndarray
+    channel_only: SecurityReport | None
+
+    def _cell(self, i: int, j: int, b_ch: float, b_key: float) -> SecurityReport:
+        alpha = self.pilot_counts[i] / self.params.n
+        return SecurityReport("HYBRID", b_ch, b_key, alpha, self.h_min_values[j])
+
+    def __iter__(self) -> Iterator[SecurityReport]:
+        for i, (b_ch_row, b_key_row) in enumerate(zip(self.b_ch.tolist(), self.b_key.tolist())):
+            for j, (b_ch, b_key) in enumerate(zip(b_ch_row, b_key_row)):
+                yield self._cell(i, j, b_ch, b_key)
+        if self.channel_only is not None:
+            yield self.channel_only
+
+    def best(self) -> SecurityReport:
+        """The maximum of (b_tot, -alpha, h_min): ties prefer fewer pilots,
+        then a larger h_min, and the channel-only candidate (alpha = 1)
+        wins only with strictly more bits."""
+        b_tot = self.b_ch + self.b_key
+        rows, cols = np.nonzero(b_tot == b_tot.max())
+        pilots = np.asarray(self.pilot_counts)[rows]
+        h_values = np.asarray(self.h_min_values)[cols]
+        k = np.lexsort((-h_values, pilots))[0]
+        i, j = rows[k], cols[k]
+        cell = self._cell(i, j, float(self.b_ch[i, j]), float(self.b_key[i, j]))
+        ch = self.channel_only
+        return ch if ch is not None and ch.b_tot > cell.b_tot else cell
+
+
+def evaluate_grid(
+    params: SystemParams,
+    grid: OptimizationGrid = OptimizationGrid(),
+    exact_threshold: bool = False,
+) -> GridCells:
+    """Evaluate every hybrid cell of the grid as one array computation.
+
+    Both checks get half the false-alarm budget; the asymptotic channel
+    threshold and the coding back-off are the same quantile
+    Qinv(p_FA / 2), computed once for the whole grid.
+    """
+    pilots, h_values = grid.resolve(params)
+    p_half = 0.5 * params.p_FA
+    q = q_inverse(p_half)
+    tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
+    column = np.array(pilots)[:, None]
+    row = np.array(h_values, dtype=float)
+    b_ch = channel.geometry(params, tau, column, row).b_ch
+    b_key = coding.hybrid_rates(params, q, column, row).b_key
+    channel_only = baseline_ch(params, exact_threshold) if grid.include_channel_only else None
+    return GridCells(params, pilots, h_values, b_ch, b_key, channel_only)
+
+
 def optimize(
     params: SystemParams,
     grid: OptimizationGrid = OptimizationGrid(),
@@ -139,22 +210,4 @@ def optimize(
     lexicographic maximum of (b_tot, -alpha, h_min), so ties prefer fewer
     pilots, then a larger h_min.
     """
-    return max(
-        evaluate_grid(params, grid, exact_threshold),
-        key=lambda r: (r.b_tot, -r.alpha_used, r.h_min_used),
-    )
-
-
-def evaluate_grid(
-    params: SystemParams,
-    grid: OptimizationGrid = OptimizationGrid(),
-    exact_threshold: bool = False,
-):
-    """Yield the hybrid report of every grid cell, then the boundary candidate."""
-    pilots, h_values = grid.resolve(params)
-    for pilot_count in pilots:
-        for h_min in h_values:
-            point = params.replace(pilot_count=pilot_count, h_min=h_min)
-            yield hybrid_bits(point, exact_threshold)
-    if grid.include_channel_only:
-        yield baseline_ch(params, exact_threshold)
+    return evaluate_grid(params, grid, exact_threshold).best()

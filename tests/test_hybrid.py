@@ -3,7 +3,10 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpla import channel, coding
 from crpla.errors import InvalidPilotCount, InvalidRange, NarrowMarginWarning
@@ -12,6 +15,7 @@ from crpla.hybrid import (
     baseline_cd,
     baseline_ch,
     evaluate,
+    evaluate_grid,
     hybrid_bits,
     optimize,
 )
@@ -235,3 +239,58 @@ class TestOptimize:
             near = hybrid_bits(params).b_tot
             anchor = baseline_ch(params).b_tot
             assert abs(near - anchor) / anchor < 0.1
+
+
+def _lexicographic_max(reports):
+    return max(reports, key=lambda r: (r.b_tot, -r.alpha_used, r.h_min_used))
+
+
+_db = st.floats(0.0, 60.0)
+_ratio = st.floats(0.05, 1.5)
+_h_grid = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
+
+
+class TestGridMatchesScalarPath:
+    """The array grid against scalar ``evaluate`` on the same cells."""
+
+    @given(db=_db, ratio=_ratio, b_m=st.integers(0, 3000), f=st.sampled_from([2, 20, 100]),
+           h_values=_h_grid, exact=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_optimize_is_max_of_scalar_cells(self, db, ratio, b_m, f, h_values, exact):
+        lambda_b = 10.0 ** (db / 10.0)
+        params = make(lambda_B=lambda_b, lambda_T=ratio * lambda_b, b_M=b_m, F=f)
+        grid = OptimizationGrid(h_min_values=tuple(h_values))
+        scalar = [
+            evaluate(params.replace(pilot_count=pilots, h_min=h_min), "HYBRID", exact).report
+            for pilots in range(1, params.n)
+            for h_min in h_values
+        ]
+        scalar.append(baseline_ch(params, exact))
+        assert list(evaluate_grid(params, grid, exact)) == scalar
+        assert optimize(params, grid, exact) == _lexicographic_max(scalar)
+
+    @given(db=_db, ratios=st.lists(_ratio, min_size=2, max_size=4), h_values=_h_grid)
+    @settings(max_examples=25, deadline=None)
+    def test_b_tot_does_not_grow_with_attacker_snr(self, db, ratios, h_values):
+        lambda_b = 10.0 ** (db / 10.0)
+        grid = OptimizationGrid(h_min_values=tuple(h_values))
+        cells, optima = [], []
+        for ratio in sorted(ratios):
+            params = make(lambda_B=lambda_b, lambda_T=ratio * lambda_b)
+            cells.append([r.b_tot for r in evaluate_grid(params, grid)])
+            optima.append(optimize(params, grid).b_tot)
+        for weaker, stronger in zip(cells, cells[1:]):
+            assert all(a >= b for a, b in zip(weaker, stronger))
+        assert all(a >= b for a, b in zip(optima, optima[1:]))
+
+    @given(db=_db, pilots=st.integers(1, 9), h_values=_h_grid)
+    @settings(max_examples=25, deadline=None)
+    def test_b_ch_does_not_grow_with_h_min(self, db, pilots, h_values):
+        lambda_b = 10.0 ** (db / 10.0)
+        params = make(lambda_B=lambda_b, lambda_T=0.3 * lambda_b, pilot_count=pilots)
+        h_sorted = sorted(h_values)
+        grid = OptimizationGrid(pilot_counts=(pilots,), h_min_values=tuple(h_sorted))
+        row = evaluate_grid(params, grid).b_ch[0]
+        assert np.all(np.diff(row) <= 0.0)
+        scalar = [hybrid_bits(params.replace(h_min=h)).b_ch for h in h_sorted]
+        assert scalar == row.tolist()
