@@ -51,7 +51,6 @@ from .specfun import (
     log_gamma,
     q_function,
     q_inverse,
-    uniform_expectation,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +92,5 @@ __all__ = [
     "test_statistic",
     "threshold_from_pfa",
     "threshold_from_pfa_exact",
-    "uniform_expectation",
     "validate",
 ]

@@ -12,6 +12,14 @@ results and do NOT coincide in the degenerate (h_min = h_max) limit: the
 block-fading one lacks the log2(e)^2 factor.  Both are implemented
 verbatim; reconciling them is out of scope.
 
+The block-fading moments E[I], Var[I] and E[1/(1+h^2*lambda_B)] over h
+uniform on [h_min, h_max] need no run-time quadrature: the two means
+have elementary antiderivatives and the variance is a fixed-order
+Gauss-Legendre sum (see ``_amplitude_moments``).  ``hybrid_rates``
+evaluates the hybrid budget elementwise over arrays of pilot counts and
+h_min values, so the optimizer's whole grid is one array computation;
+``b_key_hybrid`` is the same code at one operating point.
+
 The key budget is the smaller of what the legitimate rate leaves after
 the message and what the eavesdropper's rate concedes, clamped at zero.
 Negative intermediate budgets are preserved in the report for
@@ -22,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericError
 from .params import SystemParams
-from .specfun import q_inverse, uniform_expectation
+from .specfun import q_inverse
 
 __all__ = [
     "RateReport",
@@ -114,35 +121,54 @@ def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
     return _budget(params, i_xy, dispersion, rate, n_total)
 
 
-@lru_cache(maxsize=4096)
-def _uniform_amplitude_stats(
-    h_min: float, h_max: float, lambda_b: float
-) -> tuple[float, float, float]:
-    """(E[I], Var[I], E[1/(1+h^2 lambda)]) for h uniform on [h_min, h_max]."""
-    if h_min == h_max:
-        info = mutual_info_fixed(h_min, lambda_b)
-        return info, 0.0, 1.0 / (1.0 + h_min * h_min * lambda_b)
-
-    def info(h: float) -> float:
-        return math.log1p(h * h * lambda_b) * _LOG2E
-
-    mean_info = uniform_expectation(info, h_min, h_max)
-    mean_info_sq = uniform_expectation(lambda h: info(h) ** 2, h_min, h_max)
-    mean_inv = uniform_expectation(lambda h: 1.0 / (1.0 + h * h * lambda_b), h_min, h_max)
-    variance = mean_info_sq - mean_info * mean_info
-    if variance < -1e-9:
-        raise NumericError(
-            f"variance of the per-frame information came out {variance}; "
-            "quadrature tolerances are inconsistent"
-        )
-    return mean_info, max(0.0, variance), mean_inv
+# Var[I] quadrature: Gauss-Legendre nodes and weights on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def _amplitude_moments(h_min, h_max: float, lambda_b: float):
     """(E[I], Var[I], E[1/(1+h^2 lambda)]) for h uniform on [h_min, h_max],
-    elementwise over ``h_min``."""
-    stats = [_uniform_amplitude_stats(float(h), h_max, lambda_b) for h in np.ravel(h_min)]
-    return np.reshape(np.array(stats).T, (3,) + np.shape(h_min))
+    elementwise over ``h_min``; I(h) = log2(1 + h^2 lambda).
+
+    The two means integrate the antiderivatives h ln(1 + lambda h^2) - 2h +
+    2 atan(a h) / a and atan(a h) / a, with a = sqrt(lambda).  Their
+    differences across [h_min, h_max] are taken in closed form, so a short
+    interval loses no digits:
+
+        atan(a h_max) - atan(a h_min) = atan(a s / (1 + lambda h_max h_min))
+        ln(1 + lambda h_max^2) - ln(1 + lambda h_min^2)
+            = log1p(lambda s (h_max + h_min) / (1 + lambda h_min^2))
+
+    with s = h_max - h_min.  Var[I] = E[(I - E[I])^2] is a 12-point
+    Gauss-Legendre sum on each piece of [h_min, h_max] cut at h = 2^k / a,
+    k = 0, 1, ...: I bends at h = 1/a, and its complex singularities at
+    h = +-i/a lie at least one piece length away from every piece.  The
+    centred integrand keeps E[I^2] - E[I]^2 from cancelling.  A zero-width
+    interval gives the point values.
+    """
+    h_min = np.asarray(h_min, dtype=float)
+    a = math.sqrt(lambda_b)
+    span = h_max - h_min
+    n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
+    cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
+    edges = np.concatenate(
+        [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
+    )
+    half = 0.5 * np.diff(edges, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # span = 0 takes the point values
+        atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
+        log_ratio = np.log1p(lambda_b * span * (h_max + h_min) / (1.0 + lambda_b * h_min * h_min))
+        log_top = math.log1p(lambda_b * h_max * h_max)
+        mean_info = (log_top - 2.0 + (h_min * log_ratio + 2.0 * atan_diff / a) / span) * _LOG2E
+        mean_inv = atan_diff / (a * span)
+        h = (edges[..., :-1] + half)[..., None] + half[..., None] * _GL_NODES
+        deviation = np.log1p(h * h * lambda_b) * _LOG2E - mean_info[..., None, None]
+        variance = (half * ((deviation * deviation) @ _GL_WEIGHTS)).sum(axis=-1) / span
+    point = span == 0.0
+    return (
+        np.where(point, mutual_info_fixed(h_max, lambda_b), mean_info),
+        np.where(point, 0.0, variance),
+        np.where(point, 1.0 / (1.0 + h_max * h_max * lambda_b), mean_inv),
+    )
 
 
 def hybrid_rates(params: SystemParams, q: float, pilot_count, h_min) -> RateReport:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Two broad families matter to callers: configuration/validation problems
-(bad inputs, exit code 1 in the CLI) and numeric failures (quadrature or
+(bad inputs, exit code 1 in the CLI) and numeric failures (domain or
 inversion breakdown, exit code 2).
 """
 
@@ -44,10 +44,6 @@ class DomainError(NumericError):
 
 class ConvergenceError(NumericError):
     """An iterative numerical procedure failed to reach its tolerance."""
-
-
-class DegenerateInterval(NumericError):
-    """Integration interval has zero width; caller should evaluate pointwise."""
 
 
 class DimensionMismatch(NumericError):

@@ -1,33 +1,29 @@
-"""Numerical kernel: Gaussian tail functions, log-gamma, chi-square
-survival, and averaging over a uniform random variable.
+"""Numerical kernel: Gaussian tail functions, log-gamma and chi-square
+survival.
 
 Everything here is a thin, contract-checked layer over ``math`` and
-``scipy.special``/QUADPACK; accuracy is double precision throughout
-(far-tail Q values down to 1e-12 keep relative error below 1e-12).
+``scipy.special``; accuracy is double precision throughout (far-tail Q
+values down to 1e-12 keep relative error below 1e-12).  The amplitude
+moments of the coding check are closed forms in ``coding``; no
+quadrature runs at run time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from scipy import integrate, special
+from scipy import special
 
-from .errors import ConvergenceError, DegenerateInterval, DomainError
+from .errors import DomainError
 
 __all__ = [
     "q_function",
     "q_inverse",
     "log_gamma",
     "chi_square_sf",
-    "uniform_expectation",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# Accuracy contract of uniform_expectation.
-REL_TOL = 1e-10
-MAX_SUBDIVISIONS = 2**20
 
 
 def q_function(x: float) -> float:
@@ -68,33 +64,3 @@ def chi_square_sf(x: float, k: int) -> float:
         raise DomainError(f"chi_square_sf requires x >= 0, got {x!r}")
     return float(special.gammaincc(k / 2.0, x / 2.0))
 
-
-def uniform_expectation(f: Callable[[float], float], a: float, b: float) -> float:
-    """Mean of f(H) for H uniform on [a, b], via adaptive quadrature to
-    relative tolerance REL_TOL within MAX_SUBDIVISIONS subintervals.
-
-    Raises :class:`DegenerateInterval` when a == b; the caller decides
-    whether a point evaluation f(a) is the right reading there.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    if a == b:
-        raise DegenerateInterval(f"zero-width interval at {a!r}")
-    if a > b:
-        raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
-
-    # QUADPACK preallocates workspace proportional to `limit`, so escalate
-    # instead of always paying for the full subdivision budget.
-    limit = 200
-    while True:
-        result = integrate.quad(
-            f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=limit, full_output=1
-        )
-        if len(result) == 3:  # (value, abserr, info): converged
-            return result[0] / (b - a)
-        if limit >= MAX_SUBDIVISIONS:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] did not reach rel_tol={REL_TOL} "
-                f"within {MAX_SUBDIVISIONS} subdivisions: {result[-1]}"
-            )
-        limit = min(limit * 32, MAX_SUBDIVISIONS)

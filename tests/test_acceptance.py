@@ -17,7 +17,8 @@ import pytest
 from crpla import channel, cli, hybrid, montecarlo
 from crpla.errors import NarrowMarginWarning
 from crpla.params import SystemParams
-from crpla.specfun import chi_square_sf, log_gamma, q_function, q_inverse, uniform_expectation
+from crpla.specfun import chi_square_sf, log_gamma, q_function, q_inverse
+from quadrature_oracle import uniform_expectation
 
 SEED = 1
 DB_GRID = (20.0, 30.0, 50.0)

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crpla import coding
 from crpla.coding import b_key_cd, b_key_hybrid, eavesdropper_info, mutual_info_fixed
 from crpla.params import SystemParams
 from crpla.specfun import q_inverse
+from quadrature_oracle import uniform_expectation
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -168,6 +170,37 @@ class TestDispersionBlockFading:
             e_inv = _riemann(lambda h: 1.0 / (1.0 + h * h * lam), 0.5, 1.0)
             oracle = 9 * (e_info2 - e_info**2) + 1.0 - e_inv**2
             assert value == pytest.approx(oracle, rel=1e-7)
+
+
+class TestAmplitudeMoments:
+    """Closed-form means and Gauss-Legendre variance against adaptive quadrature."""
+
+    @given(lam=st.floats(1.0, 1e7), h_min=st.floats(0.0, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_against_quadrature_oracle(self, lam, h_min):
+        mean_info, variance, mean_inv = coding._amplitude_moments(h_min, 1.0, lam)
+        info = lambda h: math.log1p(h * h * lam) * LOG2E
+        oracle_mean = uniform_expectation(info, h_min, 1.0)
+        oracle_var = uniform_expectation(lambda h: (info(h) - oracle_mean) ** 2, h_min, 1.0)
+        oracle_inv = uniform_expectation(lambda h: 1.0 / (1.0 + h * h * lam), h_min, 1.0)
+        assert mean_info == pytest.approx(oracle_mean, rel=1e-11)
+        assert mean_inv == pytest.approx(oracle_inv, rel=1e-11)
+        assert variance == pytest.approx(oracle_var, rel=1e-10)
+
+    @given(lam=st.floats(1.0, 1e7), h_max=st.floats(0.1, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_zero_width_interval_gives_point_values(self, lam, h_max):
+        mean_info, variance, mean_inv = coding._amplitude_moments(h_max, h_max, lam)
+        assert mean_info == mutual_info_fixed(h_max, lam)
+        assert variance == 0.0
+        assert mean_inv == 1.0 / (1.0 + h_max * h_max * lam)
+
+    def test_array_matches_scalar_calls(self):
+        h_values = np.array([0.0, 0.003, 0.25, 0.9, 0.99, 1.0])
+        stacked = coding._amplitude_moments(h_values, 1.0, 3e5)
+        for k, h_min in enumerate(h_values):
+            single = coding._amplitude_moments(h_min, 1.0, 3e5)
+            assert [float(m[k]) for m in stacked] == [float(m) for m in single]
 
 
 class TestAvgRateHybrid:
