@@ -18,11 +18,11 @@ from crpla.errors import NarrowMarginWarning
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SWEEP_CSV = {
-    "sweep_hmin.json": "105bc5861b72dd9a235d8b669da2d06225b99d40b0b8bc54ec64c45950ed202f",
+    "sweep_hmin.json": "bb8919c176c107a8db25d3ba1b5001d2f0491ff8c1592dc55c33c2a5e0780a8a",
     "sweep_snr_ratio.json": "7e460b0b45271be8891e29b03959a64073b50c8f0056c6e14f775995e119c488",
 }
 GRID_CSV = {
-    "point_high_snr.json": "1b401ebfe5d15d8a73437315a3dfb06653db919d9b4c8d19bc902ef53dc17044",
+    "point_high_snr.json": "77a2e6150904405d53a83692e773988230d059307a9ff287703d06728d7221f3",
     "validate_small_f.json": "f48aea75f46e9240aac9bffa6a5e1fc9508994d132152d342c66a34a9d0caf39",
 }
 ANALYZE_STDOUT = {
