@@ -70,7 +70,7 @@ class RateReport:
 
     @property
     def b_key(self) -> float:
-        b_key = np.maximum(0.0, np.minimum(self.b_key_1, self.b_key_2))
+        b_key = np.maximum(0.0, np.minimum(self.b_key_1, self.b_key_2)) + 0.0  # no -0.0
         return b_key if b_key.ndim else float(b_key)
 
 

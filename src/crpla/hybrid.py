@@ -9,12 +9,14 @@ full false-alarm budget:
 * channel-only: every symbol a pilot, amplitude free over [0, h_max];
 * coding-only: no pilots, amplitude pinned at h_max.
 
-``optimize`` scans pilot counts 1..n-1 against an h_min grid.  The
-channel-only configuration is the natural alpha = 1 endpoint of that
-search (the coding check degenerates, so it keeps the full budget); it is
-included as a candidate by default so the optimum saturates exactly to
-the channel-only value when coding stops paying.  Disable it when h_min
-is externally pinned, since the endpoint lives at h_min = 0.
+``optimize`` scans pilot counts 1..n-1 against an h_min grid, evaluated
+as one array computation by ``evaluate_grid`` with the same channel and
+coding formulas as the single-point ``evaluate``.  The channel-only
+configuration is the natural alpha = 1 endpoint of that search (the
+coding check degenerates, so it keeps the full budget); it is included as
+a candidate by default so the optimum saturates exactly to the
+channel-only value when coding stops paying.  Disable it when h_min is
+externally pinned, since the endpoint lives at h_min = 0.
 """
 
 from __future__ import annotations
