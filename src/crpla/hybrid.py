@@ -194,7 +194,7 @@ def evaluate_grid(
     q = q_inverse(p_half)
     tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
     column = np.array(pilots)[:, None]
-    row = np.array(h_values, dtype=float)
+    row = np.array(h_values)
     b_ch = channel.geometry(params, tau, column, row).b_ch
     b_key = coding.hybrid_rates(params, q, column, row).b_key
     channel_only = baseline_ch(params, exact_threshold) if grid.include_channel_only else None
