@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate mechanisms along a swept variable")
     add_common(p_sweep)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker processes")
+    p_sweep.add_argument(
+        "--jobs", type=_jobs, default=1, help="accepted for compatibility; sweeps start no workers"
+    )
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo validation of the analytic values")
     add_common(p_sim)
@@ -160,7 +162,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = sweep.load_sweep_spec(args.config)
-    rows = sweep.run_sweep(spec, jobs=args.jobs, exact_threshold=args.exact_threshold)
+    rows = sweep.run_sweep(spec, exact_threshold=args.exact_threshold)
     sweep.write_csv(rows, spec.variable, args.out)
     if not args.quiet:
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -18,7 +18,8 @@ pinned when it is itself a search dimension (h_min or alpha).
 CSV rows appear in (value, mechanism) input order with columns
 swept_var, value, mechanism, alpha_used, h_min_used, b_ch, b_key, b_tot;
 floats carry 12 significant digits and lines end with a bare newline, so
-output is byte-stable across runs and worker counts.
+output is byte-stable across runs.  The whole grid of one optimize is one
+array computation, so a sweep runs in a single process.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import contextlib
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -126,9 +126,14 @@ def _opt_grid(params: SystemParams, variable: str) -> hybrid.OptimizationGrid:
     return hybrid.OptimizationGrid()
 
 
-def evaluate_point(task: tuple) -> list[SecurityReport]:
-    """All requested mechanism reports at one swept value (pool worker)."""
-    params, variable, value, mechanisms, exact_threshold = task
+def evaluate_point(
+    params: SystemParams,
+    variable: str,
+    value: float,
+    mechanisms: Sequence[str],
+    exact_threshold: bool,
+) -> list[SecurityReport]:
+    """All requested mechanism reports at one swept value."""
     point = apply_swept_value(params, variable, value)
     reports: list[SecurityReport] = []
     for mechanism in mechanisms:
@@ -144,22 +149,15 @@ def evaluate_point(task: tuple) -> list[SecurityReport]:
 
 
 def run_sweep(
-    spec: SweepSpec, jobs: int = 1, exact_threshold: bool = False
+    spec: SweepSpec, exact_threshold: bool = False
 ) -> list[tuple[float, str, SecurityReport]]:
     """Evaluate the whole sweep; rows come back in input order."""
-    tasks = [
-        (spec.params, spec.variable, value, spec.mechanisms, exact_threshold)
-        for value in spec.values
-    ]
-    if jobs <= 1 or len(tasks) <= 1:
-        per_point = [evaluate_point(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_point = list(pool.map(evaluate_point, tasks))
     rows: list[tuple[float, str, SecurityReport]] = []
-    for value, reports in zip(spec.values, per_point):
-        for label, report in zip(spec.mechanisms, reports):
-            rows.append((value, label, report))
+    for value in spec.values:
+        reports = evaluate_point(
+            spec.params, spec.variable, value, spec.mechanisms, exact_threshold
+        )
+        rows.extend((value, label, report) for label, report in zip(spec.mechanisms, reports))
     return rows
 
 
