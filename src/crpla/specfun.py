@@ -1,7 +1,8 @@
 """Numerical kernel: Gaussian tail functions, log-gamma and chi-square
 survival.
 
-Everything here is a thin, contract-checked layer over ``math`` and
+Everything here is a thin, contract-checked layer over ``math``,
+``statistics`` (the normal quantile, Wichura's AS241) and
 ``scipy.special``; accuracy is double precision throughout (far-tail Q
 values down to 1e-12 keep relative error below 1e-12).  The amplitude
 moments of the coding check are closed forms in ``coding``; no
@@ -11,6 +12,7 @@ quadrature runs at run time.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 from scipy import special
 
@@ -24,6 +26,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def q_function(x: float) -> float:
@@ -41,7 +44,7 @@ def q_inverse(p: float) -> float:
     """Inverse of :func:`q_function` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inverse requires p in (0, 1), got {p!r}")
-    return float(-special.ndtri(p))
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 def log_gamma(x: float) -> float:
