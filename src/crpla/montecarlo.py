@@ -14,6 +14,24 @@ b * 2**128), and the draw order inside a block is fixed.  Every trial's
 outcome is therefore a pure function of (seed, trials); per-block partial
 results are reduced in block order, so counts, means, and variances are
 bit-identical no matter how many workers participate.
+
+Draw order inside a block (one row per trial, rows in trial order):
+
+* false alarm: F standard normals, the scaled residuals (h_hat - h)/sigma
+  themselves; the challenge h cancels from the statistic and is not drawn;
+* attack: 2F uniforms, the challenge h in the first F columns and the
+  guess a in the last F; each signed amplitude comes from one uniform u
+  as copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1;
+* pilot estimation: the pilot phases, then the real and the imaginary
+  noise parts, each as one (rows, pilot_count) array.
+
+The false-alarm and attack blocks are processed in row tiles of at most
+``TILE_BYTES`` of draws.  A tile takes the next rows of the block's
+stream, so the tiles concatenate to the whole-block draw and every count
+is independent of the tile size; memory per worker stays bounded as F
+grows.  This draw order is version 2 of the reproducibility contract:
+the false-alarm and attack streams differ from version 1, which drew h
+for false alarms and one uniform plus one integer sign per amplitude.
 """
 
 from __future__ import annotations
@@ -44,6 +62,9 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 14
+# Draws held at once per block; the attack's amplitudes add as much again,
+# so a tile's working set stays within a 2 MiB per-core L2 cache.
+TILE_BYTES = 1 << 20
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -60,6 +81,15 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     if rest:
         out.append((full, rest))
     return out
+
+
+def _tile_buffer(rows: int, cols: int) -> np.ndarray:
+    """Reusable tile of at most ``TILE_BYTES`` of float64 draws, and at least one row.
+
+    ``buffer[: rows - start]`` is then the tile that starts at row
+    ``start`` of a block.
+    """
+    return np.empty((min(rows, max(1, TILE_BYTES // (8 * cols))), cols))
 
 
 def _map_blocks(fn: Callable, tasks: Sequence[tuple], jobs: int) -> Iterable:
@@ -138,17 +168,26 @@ class ChallengeDraw:
     a: np.ndarray
 
 
-def _signed_amplitudes(rng: Generator, rows: int, F: int, h_min: float, h_max: float):
-    magnitude = rng.uniform(h_min, h_max, (rows, F))
-    sign = rng.integers(0, 2, (rows, F)) * 2 - 1
-    return magnitude * sign
+def _signed_amplitudes(
+    u: np.ndarray, h_min: float, h_max: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1, from uniforms u.
+
+    ``u`` is overwritten.  u - 1/2 = v/2 is exact and carries v's sign, and
+    doubling the span instead of v gives the same bits with one pass less.
+    """
+    u -= 0.5
+    amplitude = np.abs(u, out=out)
+    amplitude *= 2.0 * (h_max - h_min)
+    amplitude += h_min
+    return np.copysign(amplitude, u, out=amplitude)
 
 
 def draw_challenge(params: SystemParams, rng: Generator) -> ChallengeDraw:
-    """Single challenge/attack pair; same law as the vectorized measurements."""
-    h = _signed_amplitudes(rng, 1, params.F, params.h_min, params.h_max)[0]
-    a = _signed_amplitudes(rng, 1, params.F, params.h_min, params.h_max)[0]
-    return ChallengeDraw(h=h, a=a)
+    """Single challenge/attack pair: the law and draw order of one attack trial."""
+    F = params.F
+    row = _signed_amplitudes(rng.random(2 * F), params.h_min, params.h_max)
+    return ChallengeDraw(h=row[:F], a=row[F:])
 
 
 # --- pilot estimation -------------------------------------------------------
@@ -209,13 +248,15 @@ def simulate_pilot_estimation(
 
 
 def _false_alarm_block(task: tuple) -> int:
-    seed, block, rows, F, h_min, h_max, sigma, tau = task
+    seed, block, rows, F, tau = task
     rng = _block_rng(seed, block)
-    h = _signed_amplitudes(rng, rows, F, h_min, h_max)
-    h_hat = h + sigma * rng.standard_normal((rows, F))
-    residual = (h_hat - h) / sigma
-    stat = (np.einsum("ij,ij->i", residual, residual) - F) / math.sqrt(2.0 * F)
-    return int(np.count_nonzero(stat > tau))
+    buffer = _tile_buffer(rows, F)
+    rejections = 0
+    for start in range(0, rows, len(buffer)):
+        residual = rng.standard_normal(out=buffer[: rows - start])
+        stat = (np.einsum("ij,ij->i", residual, residual) - F) / math.sqrt(2.0 * F)
+        rejections += int(np.count_nonzero(stat > tau))
+    return rejections
 
 
 def measure_false_alarm(
@@ -223,16 +264,12 @@ def measure_false_alarm(
 ) -> TrialBatch:
     """Rejection rate of legitimate traffic at threshold ``tau``.
 
-    Per trial: draw the true challenge, perturb it with the estimator
-    noise, and count statistics exceeding the threshold.  The estimate
-    converges to the exact chi-square tail, not to the asymptotic normal
-    one.
+    Per trial: draw the F scaled estimation residuals (h_hat - h)/sigma,
+    which are standard normal whatever the challenge, and count statistics
+    exceeding the threshold.  The estimate converges to the exact
+    chi-square tail, not to the asymptotic normal one.
     """
-    sigma = math.sqrt(channel.sigma_h_sq(params))
-    tasks = [
-        (seed, block, rows, params.F, params.h_min, params.h_max, sigma, tau)
-        for block, rows in _blocks(trials)
-    ]
+    tasks = [(seed, block, rows, params.F, tau) for block, rows in _blocks(trials)]
     rejections = sum(_map_blocks(_false_alarm_block, tasks, jobs))
     return TrialBatch.from_counts(trials, rejections, seed)
 
@@ -243,10 +280,17 @@ def measure_false_alarm(
 def _attack_block(task: tuple) -> int:
     seed, block, rows, F, h_min, h_max, radius_sq = task
     rng = _block_rng(seed, block)
-    h = _signed_amplitudes(rng, rows, F, h_min, h_max)
-    a = _signed_amplitudes(rng, rows, F, h_min, h_max)
-    d = a - h
-    return int(np.count_nonzero(np.einsum("ij,ij->i", d, d) <= radius_sq))
+    draws = _tile_buffer(rows, 2 * F)
+    amplitudes = np.empty_like(draws)
+    successes = 0
+    for start in range(0, rows, len(draws)):
+        rest = rows - start
+        row = _signed_amplitudes(  # challenge h | guess a
+            rng.random(out=draws[:rest]), h_min, h_max, out=amplitudes[:rest]
+        )
+        d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
+        successes += int(np.count_nonzero(np.einsum("ij,ij->i", d, d) <= radius_sq))
+    return successes
 
 
 def measure_attack_success(

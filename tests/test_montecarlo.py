@@ -5,11 +5,12 @@ the same machinery runs at reduced trial counts with seeded draws.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crpla import channel
+from crpla import channel, montecarlo
 from crpla.errors import InsufficientResolutionWarning
 from crpla.montecarlo import (
     BLOCK_TRIALS,
@@ -156,12 +157,11 @@ class TestFalseAlarm:
         assert batch.contains(exact)
 
     def test_invariant_to_challenge_distribution(self):
-        # the statistic depends only on residuals, not on the drawn h
+        # the statistic depends only on the residuals, so h is not even drawn
         tau = channel.threshold_from_pfa(0.05)
         spread = measure_false_alarm(make(F=100), tau, 200_000, seed=8)
         pinned = measure_false_alarm(make(F=100, h_min=1.0), tau, 200_000, seed=8)
-        sigma = math.sqrt(spread.estimate * (1 - spread.estimate) / 200_000)
-        assert abs(spread.estimate - pinned.estimate) < 6.0 * sigma
+        assert spread == pinned
 
 
 class TestAttackSuccess:
@@ -190,3 +190,85 @@ class TestAttackSuccess:
                 params, channel.threshold_from_pfa(1e-7), 2_000, seed=12
             )
         assert batch.successes == 0
+
+
+# Two full blocks and a partial one.
+PIN_TRIALS = 2 * BLOCK_TRIALS + 1000
+
+
+def _pinned_run(F, jobs=1):
+    """Every count and moment of the seeded runs the stream contract pins.
+
+    h_min = 0 and sigma_h^2 = 0.6 put the attack success near 0.8 at F=100
+    and 0.2 at F=1000, so both counts move with any change of stream.
+    """
+    params = make(F=F, h_min=0.0, pilot_count=1, lambda_B=1.0 / 0.6)
+    tau = channel.threshold_from_pfa(0.05)
+    return (
+        measure_false_alarm(params, tau, PIN_TRIALS, seed=21, jobs=jobs),
+        measure_attack_success(params, tau, PIN_TRIALS, seed=22, jobs=jobs),
+        simulate_pilot_estimation(1.0, 100.0, 10, PIN_TRIALS, seed=23, jobs=jobs),
+    )
+
+
+class TestStreamContract:
+    """(seed, trials) -> result, pinned for version 2 of the draw order."""
+
+    # F -> ((false-alarm successes, estimate), (attack successes, estimate))
+    GOLDEN = {
+        100: ((1980, 0.05863539445628998), (27779, 0.8226427386875148)),
+        1000: ((1802, 0.053364131722340676), (6133, 0.181621653636579)),
+    }
+    # The pilot stream is unchanged from version 1.
+    PILOT_MOMENTS = (1.0000936585668823, 0.0010048616573650013)
+
+    @pytest.mark.parametrize("F", sorted(GOLDEN))
+    def test_pinned(self, F):
+        false_alarm, attack, moments = _pinned_run(F)
+        assert (false_alarm.successes, false_alarm.estimate) == self.GOLDEN[F][0]
+        assert (attack.successes, attack.estimate) == self.GOLDEN[F][1]
+        # libm may round an exp differently on another platform; a changed
+        # stream moves the mean by about 2e-4.
+        mean, variance = self.PILOT_MOMENTS
+        assert moments.mean == pytest.approx(mean, rel=1e-12)
+        assert moments.variance == pytest.approx(variance, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tile_bytes",
+        [BLOCK_TRIALS * 16 * 100, 7 * 8 * 100],
+        ids=["whole_block", "tiles_of_7_and_3_rows"],
+    )
+    def test_tile_size_invariance(self, monkeypatch, tile_bytes):
+        expected = _pinned_run(100)
+        monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+        assert _pinned_run(100) == expected
+
+    def test_worker_count_invariance(self):
+        assert _pinned_run(100, jobs=3) == _pinned_run(100)
+
+
+def _peak_bytes(kernel, task):
+    tracemalloc.start()
+    try:
+        kernel(task)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """One block's peak allocation is set by the tile budget, not by F.
+
+    Untiled, 2048 rows of the attack at F=1000 would hold 64 MiB.  A
+    quarter tile of slack covers the per-row statistics.
+    """
+
+    @pytest.mark.parametrize("F", [1000, 4000])
+    def test_attack_block(self, F):
+        peak = _peak_bytes(montecarlo._attack_block, (1, 0, 2048, F, 0.0, 1.0, 0.6 * F))
+        assert peak < 2.25 * montecarlo.TILE_BYTES  # draws and amplitudes of one tile
+
+    @pytest.mark.parametrize("F", [1000, 4000])
+    def test_false_alarm_block(self, F):
+        peak = _peak_bytes(montecarlo._false_alarm_block, (1, 0, 2048, F, 1.6))
+        assert peak < 1.25 * montecarlo.TILE_BYTES  # the residuals of one tile
