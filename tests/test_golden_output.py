@@ -1,8 +1,9 @@
 """Golden outputs: the shipped configs must keep producing the same bytes.
 
 Each case runs the CLI in-process at ``--jobs 1`` and pins the sha256 of
-what it writes: the sweep CSVs, the optimizer's full grid dump and the
-human-readable ``analyze`` report.  A refactor that changes any of these
+what it writes: the sweep CSVs, the optimizer's full grid dump, the
+human-readable ``analyze`` report and the ``analyze --out`` JSON document
+with both thresholds.  A refactor that changes any of these
 bytes changes the program's output and must say so.
 """
 
@@ -28,6 +29,12 @@ GRID_CSV = {
 ANALYZE_STDOUT = {
     "point_high_snr.json": "f5ea4dd35a734f2b2e0fbb7fb802b258c0f99909ab2a3fdba4ee56a444cd783a",
     "validate_small_f.json": "0ca9985065b99e45541198aa7639a1f58b2f9c5787c742e00ea23644d1bfb2d0",
+}
+ANALYZE_JSON = {
+    ("point_high_snr.json", False): "556ae1f1f84fdd2658518083ec0a234257d3ca545beb8d2d7ff6ef56e5cfcf41",
+    ("point_high_snr.json", True): "cbdd562bed69e07bf912eaa4f353affc1bad509eb1980daa5d8eacc2ff6cd31f",
+    ("validate_small_f.json", False): "50d9773f2bb9df45b329df61ef9d02478a26e384e65d37057ed45484c3cae13d",
+    ("validate_small_f.json", True): "ef0db35a30f68b74cd253cc08e53defb2f801849ba1a03cff7ff17e15ac9c489",
 }
 
 
@@ -62,3 +69,11 @@ def test_optimize_grid_csv(name, tmp_path):
 def test_analyze_stdout(name, capsys):
     assert cli.main(["analyze", "--config", str(CONFIGS / name)]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == ANALYZE_STDOUT[name]
+
+
+@pytest.mark.parametrize("name,exact", sorted(ANALYZE_JSON))
+def test_analyze_json(name, exact, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--config", str(CONFIGS / name), "--quiet", "--out", str(out)]
+    assert cli.main(argv + ["--exact-threshold"] * exact) == 0
+    assert sha256(out.read_bytes()) == ANALYZE_JSON[(name, exact)]
