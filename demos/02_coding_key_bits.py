@@ -6,7 +6,8 @@ must stay below what the attacker's channel concedes.  The demo prints
 both budgets and where the clamp bites.
 """
 
-from crpla import SystemParams, b_key_cd, b_key_hybrid, eavesdropper_info
+from crpla import SystemParams, b_key_cd, eavesdropper_info, q_inverse
+from crpla.coding import hybrid_rates
 
 BASE = dict(n=10, F=100, pilot_count=0, b_M=600, p_FA=1e-7,
             lambda_B=1e5, lambda_T=3e4, h_min=1.0, h_max=1.0)
@@ -34,7 +35,7 @@ def main() -> None:
     print("\nrandomized amplitude (block fading) pays a dispersion penalty:")
     for h_min in (1.0, 0.9, 0.7, 0.4):
         fading = SystemParams(**{**BASE, "pilot_count": 1, "h_min": h_min})
-        report = b_key_hybrid(fading, 1e-7)
+        report = hybrid_rates(fading, q_inverse(1e-7), fading.pilot_count, h_min)
         print(f"  h in [{h_min},1]: mean info={report.i_xy:.4f} V={report.dispersion:8.4f} "
               f"Rbar={report.rate:.4f} -> b_key={report.b_key:10.1f}")
 

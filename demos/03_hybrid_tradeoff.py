@@ -9,14 +9,7 @@ regimes where each mechanism wins.
 
 import warnings
 
-from crpla import (
-    OptimizationGrid,
-    SystemParams,
-    baseline_cd,
-    baseline_ch,
-    hybrid_bits,
-    optimize,
-)
+from crpla import OptimizationGrid, SystemParams, evaluate, optimize
 from crpla.errors import NarrowMarginWarning
 
 warnings.simplefilter("ignore", NarrowMarginWarning)
@@ -30,8 +23,8 @@ def params_at(db: float, ratio: float) -> SystemParams:
 
 def main() -> None:
     params = params_at(50.0, 0.3)
-    ch = baseline_ch(params).b_tot
-    cd = baseline_cd(params).b_tot
+    ch = evaluate(params, "CH").report.b_tot
+    cd = evaluate(params, "CD").report.b_tot
     print(f"strong legitimate link (50 dB), weak attacker (ratio 0.3):")
     print(f"  channel-only  b_tot = {ch:8.1f}")
     print(f"  coding-only   b_tot = {cd:8.1f}")
@@ -40,7 +33,8 @@ def main() -> None:
     h_grid = (0.0, 0.5, 0.8, 0.9, 0.95, 1.0)
     print("  pilots\\h_min " + "".join(f"{h:>9}" for h in h_grid))
     for pilots in (1, 2, 5, 9):
-        row = [hybrid_bits(params.replace(pilot_count=pilots, h_min=h)).b_tot for h in h_grid]
+        cells = [params.replace(pilot_count=pilots, h_min=h) for h in h_grid]
+        row = [evaluate(cell, "HYBRID").report.b_tot for cell in cells]
         print(f"  {pilots:<12}" + "".join(f"{v:9.0f}" for v in row))
 
     best = optimize(params)

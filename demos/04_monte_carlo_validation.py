@@ -12,7 +12,7 @@ import math
 from crpla import (
     SystemParams,
     chi_square_sf,
-    log2_p_succ,
+    equivalent_key_bits,
     measure_attack_success,
     measure_false_alarm,
     simulate_pilot_estimation,
@@ -42,7 +42,7 @@ def main() -> None:
     print("  (at tiny F the exact tail sits well above the asymptote)")
 
     attack = measure_attack_success(params, tau, 4 * TRIALS, SEED + 2)
-    analytic = 2.0 ** log2_p_succ(params, tau)
+    analytic = 2.0 ** equivalent_key_bits(params, params.p_FA).log2_p_succ
     print(f"\nattack success (guess the signed amplitudes of {params.F} frames):")
     print(f"  empirical {attack.estimate:.3e} in [{attack.wilson_3sigma_low:.3e}, {attack.wilson_3sigma_high:.3e}]")
     print(f"  analytic volume ratio {analytic:.3e}")

@@ -6,7 +6,6 @@ bits, their hybrid combination, and Monte Carlo validation of all three.
 from .channel import (
     ChannelGeometry,
     equivalent_key_bits,
-    log2_p_succ,
     sigma_h_sq,
     test_statistic,
     threshold_from_pfa,
@@ -15,17 +14,13 @@ from .channel import (
 from .coding import (
     RateReport,
     b_key_cd,
-    b_key_hybrid,
     eavesdropper_info,
     mutual_info_fixed,
 )
 from .hybrid import (
     Evaluation,
     OptimizationGrid,
-    baseline_cd,
-    baseline_ch,
     evaluate,
-    hybrid_bits,
     optimize,
 )
 from .montecarlo import (
@@ -67,17 +62,12 @@ __all__ = [
     "SystemParams",
     "TrialBatch",
     "b_key_cd",
-    "b_key_hybrid",
-    "baseline_cd",
-    "baseline_ch",
     "chi_square_sf",
     "draw_challenge",
     "eavesdropper_info",
     "equivalent_key_bits",
     "evaluate",
-    "hybrid_bits",
     "load_params",
-    "log2_p_succ",
     "log_gamma",
     "measure_attack_success",
     "measure_false_alarm",

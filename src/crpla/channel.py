@@ -40,7 +40,6 @@ __all__ = [
     "threshold_from_pfa_exact",
     "test_statistic",
     "geometry",
-    "log2_p_succ",
     "equivalent_key_bits",
 ]
 
@@ -165,20 +164,11 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
     )
 
 
-def _scalar_geometry(params: SystemParams, tau: float) -> ChannelGeometry:
-    g = geometry(params, tau, params.pilot_count, params.h_min)
-    return ChannelGeometry(*map(float, astuple(g)))
-
-
-def log2_p_succ(params: SystemParams, tau: float) -> float:
-    """log2 of the attack-success probability at threshold ``tau``."""
-    return _scalar_geometry(params, tau).log2_p_succ
-
-
 def equivalent_key_bits(
     params: SystemParams, p_fa_ch: float, exact_threshold: bool = False
 ) -> ChannelGeometry:
-    """Full acceptance-region geometry and equivalent key bits.
+    """Acceptance-region geometry and equivalent key bits at the configured
+    pilot count and h_min, as floats.
 
     The threshold comes from the asymptotic normal law by default; pass
     ``exact_threshold=True`` to use the finite-F chi-square inverse.
@@ -188,4 +178,5 @@ def equivalent_key_bits(
         if exact_threshold
         else threshold_from_pfa(p_fa_ch)
     )
-    return _scalar_geometry(params, tau)
+    g = geometry(params, tau, params.pilot_count, params.h_min)
+    return ChannelGeometry(*map(float, astuple(g)))

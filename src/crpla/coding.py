@@ -17,8 +17,7 @@ uniform on [h_min, h_max] need no run-time quadrature: the two means
 have elementary antiderivatives and the variance is a fixed-order
 Gauss-Legendre sum (see ``_amplitude_moments``).  ``hybrid_rates``
 evaluates the hybrid budget elementwise over arrays of pilot counts and
-h_min values, so the optimizer's whole grid is one array computation;
-``b_key_hybrid`` is the same code at one operating point.
+h_min values, so the optimizer's whole grid is one array computation.
 
 The key budget is the smaller of what the legitimate rate leaves after
 the message and what the eavesdropper's rate concedes, clamped at zero.
@@ -29,7 +28,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "mutual_info_fixed",
     "eavesdropper_info",
     "b_key_cd",
-    "b_key_hybrid",
     "hybrid_rates",
 ]
 
@@ -191,11 +189,3 @@ def hybrid_rates(params: SystemParams, q: float, pilot_count, h_min) -> RateRepo
         back_off = np.sqrt(dispersion / n_data_total) * q
     rate = np.where(n_data_total > 0, mean_info - back_off, 0.0)
     return _budget(params, mean_info, dispersion, rate, n_data_total)
-
-
-def b_key_hybrid(params: SystemParams, p_fa_cd: float) -> RateReport:
-    """Key budget of the coding check inside the hybrid mechanism at the
-    configured pilot count and h_min, with back-off quantile Qinv(p_fa_cd)
-    (see :func:`hybrid_rates`)."""
-    rates = hybrid_rates(params, q_inverse(p_fa_cd), params.pilot_count, params.h_min)
-    return RateReport(*map(float, astuple(rates)))

@@ -21,7 +21,7 @@ externally pinned, since the endpoint lives at h_min = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,9 +38,6 @@ __all__ = [
     "GridCells",
     "OptimizationGrid",
     "evaluate",
-    "hybrid_bits",
-    "baseline_ch",
-    "baseline_cd",
     "optimize",
     "evaluate_grid",
 ]
@@ -89,6 +86,20 @@ class Evaluation:
     rates: RateReport | None
 
 
+def _hybrid_checks(
+    params: SystemParams, pilot_count, h_min, exact_threshold: bool
+) -> tuple[ChannelGeometry, RateReport]:
+    """Both hybrid checks, each on half the false-alarm budget, at scalar or
+    broadcast ``pilot_count`` and ``h_min``; the asymptotic channel threshold
+    and the coding back-off share one quantile Qinv(p_FA / 2)."""
+    p_half = 0.5 * params.p_FA
+    q = q_inverse(p_half)
+    tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
+    geometry = channel.geometry(params, tau, pilot_count, h_min)
+    rates = coding.hybrid_rates(params, q, pilot_count, h_min)
+    return geometry, rates
+
+
 def evaluate(
     params: SystemParams, mechanism: str, exact_threshold: bool = False
 ) -> Evaluation:
@@ -115,25 +126,10 @@ def evaluate(
         raise InvalidPilotCount(
             f"hybrid needs 1 <= pilot_count <= n-1, got {params.pilot_count} of n={params.n}"
         )
-    geometry = channel.equivalent_key_bits(params, 0.5 * params.p_FA, exact_threshold)
-    rates = coding.b_key_hybrid(params, 0.5 * params.p_FA)
+    checks = _hybrid_checks(params, params.pilot_count, params.h_min, exact_threshold)
+    geometry, rates = (type(check)(*map(float, astuple(check))) for check in checks)
     report = SecurityReport("HYBRID", geometry.b_ch, rates.b_key, params.alpha, params.h_min)
     return Evaluation(report, geometry, rates)
-
-
-def hybrid_bits(params: SystemParams, exact_threshold: bool = False) -> SecurityReport:
-    """Secret bits of the hybrid mechanism at the configured operating point."""
-    return evaluate(params, "HYBRID", exact_threshold).report
-
-
-def baseline_ch(params: SystemParams, exact_threshold: bool = False) -> SecurityReport:
-    """Channel-only mechanism: all pilots, h_min = 0, full budget on the test."""
-    return evaluate(params, "CH", exact_threshold).report
-
-
-def baseline_cd(params: SystemParams) -> SecurityReport:
-    """Coding-only mechanism: no pilots, amplitude pinned at h_max, full budget."""
-    return evaluate(params, "CD").report
 
 
 @dataclass(frozen=True)
@@ -183,22 +179,15 @@ def evaluate_grid(
     grid: OptimizationGrid = OptimizationGrid(),
     exact_threshold: bool = False,
 ) -> GridCells:
-    """Evaluate every hybrid cell of the grid as one array computation.
-
-    Both checks get half the false-alarm budget; the asymptotic channel
-    threshold and the coding back-off are the same quantile
-    Qinv(p_FA / 2), computed once for the whole grid.
-    """
+    """Evaluate every hybrid cell of the grid as one array computation,
+    with the same checks as the single-point ``evaluate``."""
     pilots, h_values = grid.resolve(params)
-    p_half = 0.5 * params.p_FA
-    q = q_inverse(p_half)
-    tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
-    column = np.array(pilots)[:, None]
-    row = np.array(h_values)
-    b_ch = channel.geometry(params, tau, column, row).b_ch
-    b_key = coding.hybrid_rates(params, q, column, row).b_key
-    channel_only = baseline_ch(params, exact_threshold) if grid.include_channel_only else None
-    return GridCells(params, pilots, h_values, b_ch, b_key, channel_only)
+    column, row = np.array(pilots)[:, None], np.array(h_values)
+    geometry, rates = _hybrid_checks(params, column, row, exact_threshold)
+    channel_only = (
+        evaluate(params, "CH", exact_threshold).report if grid.include_channel_only else None
+    )
+    return GridCells(params, pilots, h_values, geometry.b_ch, rates.b_key, channel_only)
 
 
 def optimize(

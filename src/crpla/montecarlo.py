@@ -312,7 +312,8 @@ def measure_attack_success(
     ]
     successes = sum(_map_blocks(_attack_block, tasks, jobs))
     if successes == 0:
-        expected = 2.0 ** channel.log2_p_succ(params, tau) * trials
+        geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
+        expected = 2.0**geometry.log2_p_succ * trials
         if expected < 10.0:
             warnings.warn(
                 f"no successes in {trials} trials while the analytic expectation is "

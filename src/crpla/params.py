@@ -66,16 +66,6 @@ class SystemParams:
         """Pilot fraction alpha = pilot_count / n."""
         return self.pilot_count / self.n
 
-    @property
-    def n_data(self) -> int:
-        """Data symbols per frame, (1 - alpha) * n."""
-        return self.n - self.pilot_count
-
-    @property
-    def amplitude_span(self) -> float:
-        """Width of the admissible amplitude interval, h_max - h_min."""
-        return self.h_max - self.h_min
-
     def with_alpha(self, alpha: float) -> "SystemParams":
         """Return a copy with the pilot count set from a fractional alpha."""
         return replace(self, pilot_count=_pilots_from_alpha(alpha, self.n))

@@ -69,8 +69,9 @@ def test_criterion_1_geometry_oracle():
         radius = math.sqrt(
             (math.sqrt(2.0 * F) * tau + F) * channel.sigma_h_sq(params)
         )
-        assert radius < 0.1 * params.amplitude_span
-        analytic = 2.0 ** channel.log2_p_succ(params, tau)
+        assert radius < 0.1 * (params.h_max - params.h_min)
+        geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
+        analytic = 2.0**geometry.log2_p_succ
         start = time.monotonic()
         batch = montecarlo.measure_attack_success(params, tau, 10_000_000, SEED)
         elapsed = time.monotonic() - start
@@ -133,19 +134,19 @@ def test_criterion_4_endpoint_behavior():
     details = []
     for db in DB_GRID:
         for ratio in RATIO_GRID:
-            near_ch = hybrid.hybrid_bits(
-                fig_params(db, ratio, h_min=0.01, pilot_count=9)
-            ).b_tot
-            anchor = hybrid.baseline_ch(fig_params(db, ratio)).b_tot
+            near_ch = hybrid.evaluate(
+                fig_params(db, ratio, h_min=0.01, pilot_count=9), "HYBRID"
+            ).report.b_tot
+            anchor = hybrid.evaluate(fig_params(db, ratio), "CH").report.b_tot
             rel = abs(near_ch - anchor) / anchor
             ok &= rel < 0.10
             details.append(f"CH {db:.0f}dB/{ratio}: {rel:.3f}")
     for db in DB_GRID:
         for ratio in RATIO_GRID:
-            near_cd = hybrid.hybrid_bits(
-                fig_params(db, ratio, h_min=0.999, pilot_count=1)
-            ).b_tot
-            anchor = hybrid.baseline_cd(fig_params(db, ratio)).b_tot
+            near_cd = hybrid.evaluate(
+                fig_params(db, ratio, h_min=0.999, pilot_count=1), "HYBRID"
+            ).report.b_tot
+            anchor = hybrid.evaluate(fig_params(db, ratio), "CD").report.b_tot
             if anchor == 0.0:
                 good = near_cd == 0.0
             else:
@@ -159,12 +160,12 @@ def test_criterion_4_endpoint_behavior():
 def test_criterion_5_hybrid_dominance():
     """A high-floor grid point beats both baselines at 50 dB, ratio 0.3."""
     params = fig_params(50.0, 0.3)
-    ch = hybrid.baseline_ch(params).b_tot
-    cd = hybrid.baseline_cd(params).b_tot
+    ch = hybrid.evaluate(params, "CH").report.b_tot
+    cd = hybrid.evaluate(params, "CD").report.b_tot
     best = None
     for pilots in range(1, 10):
         for h_min in (0.81, 0.85, 0.9, 0.95, 0.99):
-            cell = hybrid.hybrid_bits(params.replace(pilot_count=pilots, h_min=h_min))
+            cell = hybrid.evaluate(params.replace(pilot_count=pilots, h_min=h_min), "HYBRID").report
             if best is None or cell.b_tot > best.b_tot:
                 best = cell
     ok = best.b_tot > ch and best.b_tot > cd and best.h_min_used > 0.8
@@ -185,7 +186,7 @@ def test_criterion_6a_saturation_to_channel_baseline():
         for ratio in (0.6, 0.75, 0.9):
             params = fig_params(db, ratio)
             best = hybrid.optimize(params).b_tot
-            anchor = hybrid.baseline_ch(params).b_tot
+            anchor = hybrid.evaluate(params, "CH").report.b_tot
             gap = abs(best - anchor)
             details.append(f"{db:.0f}dB/{ratio}: gap={gap:.3g}")
             if gap > 1e-6:
@@ -209,7 +210,7 @@ def test_criterion_6b_approach_to_coding_baseline():
         for db in (50.0, 30.0, 20.0):
             params = fig_params(db, ratio)
             best = hybrid.optimize(params).b_tot
-            cd = hybrid.baseline_cd(params).b_tot
+            cd = hybrid.evaluate(params, "CD").report.b_tot
             gaps.append(best - cd)
         strict_at_high = gaps[0] > 0.0
         shrinking = abs(gaps[0]) > abs(gaps[1]) > abs(gaps[2])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crpla import channel
 from crpla.channel import (
     equivalent_key_bits,
-    log2_p_succ,
     sigma_h_sq,
     threshold_from_pfa,
     threshold_from_pfa_exact,
@@ -108,29 +107,34 @@ class TestTestStatistic:
         assert 0.9 < float(np.var(stats)) < 1.1
 
 
+def log2_success(params, tau):
+    """log2 of the attack-success probability at threshold ``tau``."""
+    return channel.geometry(params, tau, params.pilot_count, params.h_min).log2_p_succ
+
+
 class TestLog2PSucc:
     def test_clamped_when_sphere_dominates(self):
         params = make(lambda_B=1e-6, pilot_count=1)  # enormous estimator noise
         with pytest.warns(NarrowMarginWarning):
-            assert log2_p_succ(params, threshold_from_pfa(0.05)) == 0.0
+            assert log2_success(params, threshold_from_pfa(0.05)) == 0.0
 
     def test_f2_hand_value(self):
         # radius^2 = 2 sigma^2 at tau=0; V_s/V_c = pi*2e-4/4 for sigma=0.01, span=1
         params = make(F=2, lambda_B=1e4, pilot_count=1, h_min=0.0, h_max=1.0)
         assert sigma_h_sq(params) == pytest.approx(1e-4, rel=1e-14)
-        value = log2_p_succ(params, 0.0)
+        value = log2_success(params, 0.0)
         assert value == pytest.approx(math.log2(math.pi * 2e-4 / 4.0), rel=1e-12)
 
     def test_fig_parameters_finite_and_large(self):
         params = make(lambda_B=1e5)
-        value = log2_p_succ(params, threshold_from_pfa(1e-7))
+        value = log2_success(params, threshold_from_pfa(1e-7))
         assert math.isfinite(value)
         assert 100.0 < -value < 2000.0
 
     def test_no_overflow_at_extreme_f(self):
         for F in (1_000, 10_000):
             params = make(F=F, lambda_B=1e5)
-            assert math.isfinite(log2_p_succ(params, threshold_from_pfa(1e-7)))
+            assert math.isfinite(log2_success(params, threshold_from_pfa(1e-7)))
 
     def test_matches_direct_formula_at_small_f(self):
         # direct (non-log) volume ratio is representable for small F
@@ -142,11 +146,11 @@ class TestLog2PSucc:
             v_s = math.pi ** (F / 2.0) / math.exp(log_gamma(F / 2.0 + 1.0)) * radius**F
             v_c = 2.0**F * 1.0**F
             direct = min(0.0, math.log2(v_s / v_c))
-            assert log2_p_succ(params, tau) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+            assert log2_success(params, tau) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_degenerate_span_convention(self):
         params = make(h_min=1.0, h_max=1.0)
-        assert log2_p_succ(params, threshold_from_pfa(0.05)) == 0.0
+        assert log2_success(params, threshold_from_pfa(0.05)) == 0.0
 
 
 class TestEquivalentKeyBits:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpla import coding
-from crpla.coding import b_key_cd, b_key_hybrid, eavesdropper_info, mutual_info_fixed
+from crpla.coding import b_key_cd, eavesdropper_info, hybrid_rates, mutual_info_fixed
 from crpla.params import SystemParams
 from crpla.specfun import q_inverse
 from quadrature_oracle import uniform_expectation
@@ -39,6 +39,11 @@ def make(**overrides):
     )
     base.update(overrides)
     return SystemParams(**base)
+
+
+def hybrid_budget(params, p_fa_cd):
+    """The hybrid's coding check at the configured split, back-off Qinv(p_fa_cd)."""
+    return hybrid_rates(params, q_inverse(p_fa_cd), params.pilot_count, params.h_min)
 
 
 class TestMutualInformation:
@@ -141,18 +146,18 @@ class TestDispersionBlockFading:
     def test_degenerate_interval_matches_closed_form(self):
         params = make(h_min=0.7, h_max=0.7, pilot_count=1)
         s = 0.49 * params.lambda_B
-        assert b_key_hybrid(params, params.p_FA).dispersion == pytest.approx(
+        assert hybrid_budget(params, params.p_FA).dispersion == pytest.approx(
             1.0 - 1.0 / (1.0 + s) ** 2, rel=1e-12
         )
 
     def test_vanishes_at_zero_snr(self):
         params = make(lambda_B=1e-9, lambda_T=1e-9)
-        assert b_key_hybrid(params, params.p_FA).dispersion < 1e-8
+        assert hybrid_budget(params, params.p_FA).dispersion < 1e-8
 
     def test_against_sampling_oracle(self):
         # h in [0.7, 1], lambda 1e4, n' = 9: compare with 1e7 sampled uniforms
         params = make(h_min=0.7, lambda_B=1e4, pilot_count=1)
-        value = b_key_hybrid(params, params.p_FA).dispersion
+        value = hybrid_budget(params, params.p_FA).dispersion
         rng = np.random.default_rng(314159)
         h = rng.uniform(0.7, 1.0, 10_000_000)
         info = np.log2(1.0 + h * h * 1e4)
@@ -164,7 +169,7 @@ class TestDispersionBlockFading:
     def test_quadrature_vs_riemann_moments(self):
         for lam in (1e2, 1e3, 1e5):
             params = make(h_min=0.5, lambda_B=lam, pilot_count=1)
-            value = b_key_hybrid(params, params.p_FA).dispersion
+            value = hybrid_budget(params, params.p_FA).dispersion
             e_info = _riemann(lambda h: np.log2(1.0 + h * h * lam), 0.5, 1.0)
             e_info2 = _riemann(lambda h: np.log2(1.0 + h * h * lam) ** 2, 0.5, 1.0)
             e_inv = _riemann(lambda h: 1.0 / (1.0 + h * h * lam), 0.5, 1.0)
@@ -206,7 +211,7 @@ class TestAmplitudeMoments:
 class TestAvgRateHybrid:
     def test_no_back_off_at_half(self):
         params = make()
-        rate = b_key_hybrid(params, 0.5).rate
+        rate = hybrid_budget(params, 0.5).rate
         a = math.sqrt(params.lambda_B)
         antider = lambda h: h * math.log(1.0 + a * a * h * h) - 2.0 * h + (2.0 / a) * math.atan(a * h)
         mean_info = (antider(1.0) - antider(0.8)) / math.log(2.0) / 0.2
@@ -215,7 +220,7 @@ class TestAvgRateHybrid:
     def test_degenerate_interval_structure(self):
         # pinned amplitude: mean information collapses to the fixed-SNR value
         params = make(h_min=1.0, h_max=1.0, pilot_count=0)
-        rate = b_key_hybrid(params, 1e-7).rate
+        rate = hybrid_budget(params, 1e-7).rate
         s = params.lambda_B
         v = 1.0 - 1.0 / (1.0 + s) ** 2
         expected = math.log2(1.0 + s) - math.sqrt(v / 1000.0) * q_inverse(1e-7)
@@ -223,7 +228,7 @@ class TestAvgRateHybrid:
 
     def test_scripted_recomputation(self):
         params = make(h_min=0.8, lambda_B=1e5, pilot_count=1)
-        rate = b_key_hybrid(params, 5e-8).rate
+        rate = hybrid_budget(params, 5e-8).rate
         a = math.sqrt(1e5)
         antider = lambda h: h * math.log(1.0 + a * a * h * h) - 2.0 * h + (2.0 / a) * math.atan(a * h)
         mean_info = (antider(1.0) - antider(0.8)) / math.log(2.0) / 0.2
@@ -238,16 +243,16 @@ class TestAvgRateHybrid:
 class TestBKeyHybrid:
     def test_all_pilots_convention(self):
         params = make(pilot_count=10)
-        report = b_key_hybrid(params, 5e-8)
+        report = hybrid_budget(params, 5e-8)
         assert report.b_key == 0.0
         assert report.rate == 0.0
 
     def test_strong_eavesdropper_clamps(self):
         params = make(lambda_T=9e2)
-        assert b_key_hybrid(params, 5e-8).b_key == 0.0
+        assert hybrid_budget(params, 5e-8).b_key == 0.0
 
     def test_budget_identity(self):
-        report = b_key_hybrid(make(), 5e-8)
+        report = hybrid_budget(make(), 5e-8)
         n_data_total = 9 * 100
         assert report.b_key_1 - report.b_key_2 == pytest.approx(
             n_data_total * report.i_xz - 600.0, rel=1e-10
@@ -257,23 +262,23 @@ class TestBKeyHybrid:
         # one pilot, amplitude pinned at the top: same budget structure as
         # the pure coding mechanism over the remaining symbols
         params = make(h_min=1.0, h_max=1.0, lambda_B=1e3, lambda_T=300.0)
-        hybrid_key = b_key_hybrid(params, 1e-7).b_key
+        hybrid_key = hybrid_budget(params, 1e-7).b_key
         cd_like = _scripted_cd_budget(10, 100, 600, 1e-7, 1e3, 300.0)
         assert hybrid_key > 0.0
         assert hybrid_key == pytest.approx(cd_like, rel=0.12)
 
     def test_monotone_in_pilots_message_and_floor(self):
         base = make(lambda_B=1e4, lambda_T=1e3)
-        by_pilots = [b_key_hybrid(base.replace(pilot_count=k), 5e-8).b_key for k in (1, 3, 5, 9)]
+        by_pilots = [hybrid_budget(base.replace(pilot_count=k), 5e-8).b_key for k in (1, 3, 5, 9)]
         assert all(a >= b for a, b in zip(by_pilots, by_pilots[1:]))
-        by_message = [b_key_hybrid(base.replace(b_M=m), 5e-8).b_key for m in (0, 600, 3000)]
+        by_message = [hybrid_budget(base.replace(b_M=m), 5e-8).b_key for m in (0, 600, 3000)]
         assert all(a >= b for a, b in zip(by_message, by_message[1:]))
-        by_floor = [b_key_hybrid(base.replace(h_min=h), 5e-8).b_key for h in (0.2, 0.5, 0.8, 1.0)]
+        by_floor = [hybrid_budget(base.replace(h_min=h), 5e-8).b_key for h in (0.2, 0.5, 0.8, 1.0)]
         assert all(a <= b for a, b in zip(by_floor, by_floor[1:]))
 
     def test_mean_info_bounded_by_peak(self):
-        spread = b_key_hybrid(make(), 5e-8)
-        pinned = b_key_hybrid(make(h_min=1.0), 5e-8)
+        spread = hybrid_budget(make(), 5e-8)
+        pinned = hybrid_budget(make(h_min=1.0), 5e-8)
         peak = mutual_info_fixed(1.0, make().lambda_B)
         assert spread.i_xy < peak
         assert pinned.i_xy == pytest.approx(peak, rel=1e-12)
@@ -287,7 +292,7 @@ class TestBKeyHybrid:
     def test_binding_budget_identity(self, b_m, ratio, pilots):
         # the secrecy budget binds exactly when the message is light
         params = make(b_M=b_m, lambda_T=ratio * 1e3, pilot_count=pilots)
-        report = b_key_hybrid(params, 5e-8)
-        n_data_total = params.n_data * params.F
+        report = hybrid_budget(params, 5e-8)
+        n_data_total = (params.n - params.pilot_count) * params.F
         binds = report.b_key_2 < report.b_key_1
         assert binds == (b_m < n_data_total * report.i_xz)

@@ -10,16 +10,9 @@ from hypothesis import strategies as st
 
 from crpla import channel, coding
 from crpla.errors import InvalidPilotCount, InvalidRange, NarrowMarginWarning
-from crpla.hybrid import (
-    OptimizationGrid,
-    baseline_cd,
-    baseline_ch,
-    evaluate,
-    evaluate_grid,
-    hybrid_bits,
-    optimize,
-)
-from crpla.params import SystemParams
+from crpla.hybrid import OptimizationGrid, evaluate, evaluate_grid, optimize
+from crpla.params import SecurityReport, SystemParams
+from crpla.specfun import q_inverse
 
 # Regression anchors, frozen after the first verified computation.
 GOLDEN_CD_30DB_R06 = 498.80089782213764
@@ -51,52 +44,52 @@ def _quiet_margin_warnings():
 
 class TestHybridBits:
     def test_tagged_and_split(self):
-        report = hybrid_bits(make())
+        report = evaluate(make(), "HYBRID").report
         assert report.mechanism == "HYBRID"
         assert report.alpha_used == pytest.approx(0.1)
         assert report.h_min_used == 0.9
         geo = channel.equivalent_key_bits(make(), 0.5e-7)
-        rates = coding.b_key_hybrid(make(), 0.5e-7)
+        rates = coding.hybrid_rates(make(), q_inverse(0.5e-7), 1, 0.9)
         assert report.b_ch == geo.b_ch
         assert report.b_key == rates.b_key
         assert report.b_tot == report.b_ch + report.b_key
 
     def test_degenerate_span_keeps_only_coding(self):
-        report = hybrid_bits(make(h_min=1.0))
+        report = evaluate(make(h_min=1.0), "HYBRID").report
         assert report.b_ch == 0.0
         assert report.b_tot == report.b_key > 0.0
 
     def test_strong_eavesdropper_keeps_only_channel(self):
-        report = hybrid_bits(make(lambda_T=9.9e4))
+        report = evaluate(make(lambda_T=9.9e4), "HYBRID").report
         assert report.b_key == 0.0
         assert report.b_tot == report.b_ch > 0.0
 
     @pytest.mark.parametrize("pilots", [0, 10])
     def test_interior_pilots_required(self, pilots):
         with pytest.raises(InvalidPilotCount):
-            hybrid_bits(make(pilot_count=pilots))
+            evaluate(make(pilot_count=pilots), "HYBRID")
 
 
 class TestEvaluate:
     def test_hybrid_carries_both_checks(self):
         ev = evaluate(make(), "HYBRID")
         assert ev.geometry == channel.equivalent_key_bits(make(), 0.5e-7)
-        assert ev.rates == coding.b_key_hybrid(make(), 0.5e-7)
-        assert ev.report == hybrid_bits(make())
+        assert ev.rates == coding.hybrid_rates(make(), q_inverse(0.5e-7), 1, 0.9)
+        assert ev.report == SecurityReport("HYBRID", ev.geometry.b_ch, ev.rates.b_key, 0.1, 0.9)
 
     def test_ch_carries_only_geometry(self):
         ev = evaluate(make(), "CH")
         forced = make(pilot_count=10, h_min=0.0)
         assert ev.geometry == channel.equivalent_key_bits(forced, 1e-7)
         assert ev.rates is None
-        assert ev.report == baseline_ch(make())
+        assert ev.report == SecurityReport("CH", ev.geometry.b_ch, 0.0, 1.0, 0.0)
 
     def test_cd_carries_only_rates(self):
         ev = evaluate(make(), "CD")
         forced = make(pilot_count=0, h_min=1.0)
         assert ev.rates == coding.b_key_cd(forced, 1e-7)
         assert ev.geometry is None
-        assert ev.report == baseline_cd(make())
+        assert ev.report == SecurityReport("CD", 0.0, ev.rates.b_key, 0.0, 1.0)
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError):
@@ -105,7 +98,7 @@ class TestEvaluate:
 
 class TestBaselines:
     def test_ch_forces_configuration(self):
-        report = baseline_ch(make())
+        report = evaluate(make(), "CH").report
         assert report.mechanism == "CH"
         assert report.alpha_used == 1.0
         assert report.h_min_used == 0.0
@@ -115,20 +108,20 @@ class TestBaselines:
         params = make(lambda_B=1e3)
         forced = params.replace(pilot_count=10, h_min=0.0)
         direct = channel.equivalent_key_bits(forced, params.p_FA)
-        assert baseline_ch(params).b_ch == direct.b_ch
+        assert evaluate(params, "CH").report.b_ch == direct.b_ch
 
     def test_ch_monotone_in_snr(self):
-        low = baseline_ch(make(lambda_B=1e2, lambda_T=30.0)).b_tot
-        high = baseline_ch(make(lambda_B=1e5)).b_tot
+        low = evaluate(make(lambda_B=1e2, lambda_T=30.0), "CH").report.b_tot
+        high = evaluate(make(lambda_B=1e5), "CH").report.b_tot
         assert high > low
 
     def test_ch_monotone_in_frames(self):
-        few = baseline_ch(make(F=50, lambda_B=1e5)).b_tot
-        many = baseline_ch(make(F=200, lambda_B=1e5)).b_tot
+        few = evaluate(make(F=50, lambda_B=1e5), "CH").report.b_tot
+        many = evaluate(make(F=200, lambda_B=1e5), "CH").report.b_tot
         assert many > few
 
     def test_cd_forces_configuration(self):
-        report = baseline_cd(make())
+        report = evaluate(make(), "CD").report
         assert report.mechanism == "CD"
         assert report.alpha_used == 0.0
         assert report.h_min_used == 1.0
@@ -136,16 +129,16 @@ class TestBaselines:
 
     def test_cd_golden_values(self):
         mid = make(lambda_B=1e3, lambda_T=600.0)
-        assert baseline_cd(mid).b_key == pytest.approx(GOLDEN_CD_30DB_R06, rel=1e-12)
+        assert evaluate(mid, "CD").report.b_key == pytest.approx(GOLDEN_CD_30DB_R06, rel=1e-12)
         high = make(lambda_B=1e5, lambda_T=3e4)
-        assert baseline_cd(high).b_key == pytest.approx(GOLDEN_CD_50DB_R03, rel=1e-12)
+        assert evaluate(high, "CD").report.b_key == pytest.approx(GOLDEN_CD_50DB_R03, rel=1e-12)
 
     def test_cd_vanishing_secrecy_gap(self):
-        report = baseline_cd(make(lambda_B=1e3, lambda_T=1e3))
+        report = evaluate(make(lambda_B=1e3, lambda_T=1e3), "CD").report
         assert report.b_key == 0.0
 
     def test_cd_oversized_message(self):
-        report = baseline_cd(make(lambda_B=1e3, lambda_T=1.0, b_M=100_000))
+        report = evaluate(make(lambda_B=1e3, lambda_T=1.0, b_M=100_000), "CD").report
         assert report.b_key == 0.0
 
 
@@ -174,7 +167,7 @@ class TestOptimize:
             pilot_counts=(2,), h_min_values=(0.85,), include_channel_only=False
         )
         best = optimize(make(), grid)
-        cell = hybrid_bits(make(pilot_count=2, h_min=0.85))
+        cell = evaluate(make(pilot_count=2, h_min=0.85), "HYBRID").report
         assert best == cell
 
     def test_dominates_every_cell(self):
@@ -185,9 +178,9 @@ class TestOptimize:
         best = optimize(params, grid)
         for pilots in grid.pilot_counts:
             for h_min in grid.h_min_values:
-                cell = hybrid_bits(params.replace(pilot_count=pilots, h_min=h_min))
+                cell = evaluate(params.replace(pilot_count=pilots, h_min=h_min), "HYBRID").report
                 assert best.b_tot >= cell.b_tot
-        assert best.b_tot >= baseline_ch(params).b_tot
+        assert best.b_tot >= evaluate(params, "CH").report.b_tot
 
     def test_order_invariance(self):
         params = make(lambda_B=1e3, lambda_T=900.0)
@@ -217,27 +210,27 @@ class TestOptimize:
         # strong attacker: coding never pays, optimum is the alpha=1 endpoint
         params = make(lambda_T=9e4)
         best = optimize(params)
-        assert best == baseline_ch(params)
+        assert best == evaluate(params, "CH").report
 
     def test_channel_candidate_excluded_when_disabled(self):
         params = make(lambda_T=9e4)
         best = optimize(params, OptimizationGrid(include_channel_only=False))
         assert best.mechanism == "HYBRID"
-        assert best.b_tot < baseline_ch(params).b_tot
+        assert best.b_tot < evaluate(params, "CH").report.b_tot
 
     def test_headline_point_beats_both_baselines(self):
         params = make()  # 50 dB, ratio 0.3
         best = optimize(params)
-        assert best.b_tot > baseline_ch(params).b_tot
-        assert best.b_tot > baseline_cd(params).b_tot
+        assert best.b_tot > evaluate(params, "CH").report.b_tot
+        assert best.b_tot > evaluate(params, "CD").report.b_tot
         assert best.h_min_used > 0.8
 
     def test_near_endpoint_tracks_channel_baseline(self):
         # interior point right next to the channel-only corner
         for lambda_b in (1e2, 1e3, 1e5):
             params = make(lambda_B=lambda_b, lambda_T=0.3 * lambda_b, h_min=0.01, pilot_count=9)
-            near = hybrid_bits(params).b_tot
-            anchor = baseline_ch(params).b_tot
+            near = evaluate(params, "HYBRID").report.b_tot
+            anchor = evaluate(params, "CH").report.b_tot
             assert abs(near - anchor) / anchor < 0.1
 
 
@@ -265,7 +258,7 @@ class TestGridMatchesScalarPath:
             for pilots in range(1, params.n)
             for h_min in h_values
         ]
-        scalar.append(baseline_ch(params, exact))
+        scalar.append(evaluate(params, "CH", exact).report)
         assert list(evaluate_grid(params, grid, exact)) == scalar
         assert optimize(params, grid, exact) == _lexicographic_max(scalar)
 
@@ -292,5 +285,5 @@ class TestGridMatchesScalarPath:
         grid = OptimizationGrid(pilot_counts=(pilots,), h_min_values=tuple(h_sorted))
         row = evaluate_grid(params, grid).b_ch[0]
         assert np.all(np.diff(row) <= 0.0)
-        scalar = [hybrid_bits(params.replace(h_min=h)).b_ch for h in h_sorted]
+        scalar = [evaluate(params.replace(h_min=h), "HYBRID").report.b_ch for h in h_sorted]
         assert scalar == row.tolist()

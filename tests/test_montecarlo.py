@@ -179,7 +179,8 @@ class TestAttackSuccess:
     def test_headline_geometry_agreement(self):
         params = make(F=2)
         tau = channel.threshold_from_pfa(0.05)
-        analytic = 2.0 ** channel.log2_p_succ(params, tau)
+        geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
+        analytic = 2.0**geometry.log2_p_succ
         batch = measure_attack_success(params, tau, 1_000_000, seed=11)
         assert batch.contains(analytic)
 

@@ -80,20 +80,8 @@ class TestValidation:
 
 
 class TestDerived:
-    @pytest.mark.parametrize(
-        "pilots,expected", [(1, 9), (10, 0), (0, 10)]
-    )
-    def test_n_data(self, pilots, expected):
-        assert make(pilot_count=pilots).n_data == expected
-
     def test_alpha(self):
         assert make(pilot_count=1).alpha == pytest.approx(0.1)
-
-    @given(pilots=st.integers(min_value=0, max_value=10))
-    @settings(max_examples=11, deadline=None)
-    def test_pilots_plus_data_is_n(self, pilots):
-        params = make(pilot_count=pilots)
-        assert params.pilot_count + params.n_data == params.n
 
     def test_with_alpha(self):
         assert make().with_alpha(0.7).pilot_count == 7

@@ -115,9 +115,9 @@ class TestRunSweep:
         rows = run_sweep(spec)
         by_label = {label: report for _v, label, report in rows}
         params = params_from_config(BASE_PARAMS)
-        assert by_label["CH"] == hybrid.baseline_ch(params)
-        assert by_label["CD"] == hybrid.baseline_cd(params)
-        assert by_label["HYBRID"] == hybrid.hybrid_bits(params)
+        assert by_label["CH"] == hybrid.evaluate(params, "CH").report
+        assert by_label["CD"] == hybrid.evaluate(params, "CD").report
+        assert by_label["HYBRID"] == hybrid.evaluate(params, "HYBRID").report
 
     def test_opt_rows_pin_swept_h_min(self):
         spec = SweepSpec(
@@ -223,7 +223,7 @@ class TestCli:
         assert cli.main(["sweep", "--config", spec_path, "--out", str(out), "--quiet", "--jobs", "1"]) == 0
         row = out.read_text().splitlines()[3]  # HYBRID row
         b_tot = float(row.split(",")[-1])
-        direct = hybrid.hybrid_bits(params_from_config(BASE_PARAMS))
+        direct = hybrid.evaluate(params_from_config(BASE_PARAMS), "HYBRID").report
         assert b_tot == pytest.approx(direct.b_tot, rel=1e-12)
 
     def test_sweep_byte_identical_across_jobs(self, tmp_path):
