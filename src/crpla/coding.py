@@ -114,7 +114,8 @@ def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
     s = params.h_max * params.h_max * params.lambda_B
     n_total = params.n * params.F
     i_xy = mutual_info_fixed(params.h_max, params.lambda_B)
-    dispersion = s * (s + 2.0) / ((s + 1.0) ** 2) * _LOG2E**2
+    # S/(S+1) * (S+2)/(S+1): no intermediate (S+1)^2 to overflow at huge S
+    dispersion = s / (s + 1.0) * ((s + 2.0) / (s + 1.0)) * _LOG2E**2
     rate = i_xy - math.sqrt(dispersion / n_total) * q_inverse(p_fa_cd)
     return _budget(params, i_xy, dispersion, rate, n_total)
 
@@ -152,7 +153,8 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
         [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
     )
     half = 0.5 * np.diff(edges, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # span = 0 takes the point values
+    # span = 0 takes the point values; an overflow reaches the caller as inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
         log_ratio = np.log1p(lambda_b * span * (h_max + h_min) / (1.0 + lambda_b * h_min * h_min))
         log_top = math.log1p(lambda_b * h_max * h_max)

@@ -29,7 +29,7 @@ import numpy as np
 from . import channel, coding
 from .channel import ChannelGeometry
 from .coding import RateReport
-from .errors import InvalidPilotCount, InvalidRange
+from .errors import InvalidPilotCount, InvalidRange, NumericError
 from .params import SecurityReport, SystemParams
 from .specfun import q_inverse
 
@@ -86,6 +86,11 @@ class Evaluation:
     rates: RateReport | None
 
 
+def _require_finite(mechanism: str, *bits) -> None:
+    if not all(np.all(np.isfinite(b)) for b in bits):
+        raise NumericError(f"{mechanism} key bits are not finite at this operating point")
+
+
 def _hybrid_checks(
     params: SystemParams, pilot_count, h_min, exact_threshold: bool
 ) -> tuple[ChannelGeometry, RateReport]:
@@ -97,6 +102,7 @@ def _hybrid_checks(
     tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
     geometry = channel.geometry(params, tau, pilot_count, h_min)
     rates = coding.hybrid_rates(params, q, pilot_count, h_min)
+    _require_finite("HYBRID", geometry.b_ch, rates.b_key)
     return geometry, rates
 
 
@@ -118,6 +124,7 @@ def evaluate(
     if mechanism == "CD":
         forced = params.replace(pilot_count=0, h_min=params.h_max)
         rates = coding.b_key_cd(forced, params.p_FA)
+        _require_finite("CD", rates.b_key)
         report = SecurityReport("CD", 0.0, rates.b_key, alpha_used=0.0, h_min_used=params.h_max)
         return Evaluation(report, None, rates)
     if mechanism != "HYBRID":

@@ -1,6 +1,7 @@
 """Sweep machinery and CLI behavior: schemas, determinism, exit codes."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -287,9 +288,9 @@ class TestCli:
         assert f"{best.b_tot:16.6f}".strip() in stdout
 
 
-def _one_line_error(capsys) -> str:
+def _one_line_error(capsys, prefix="error: ") -> str:
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
     return err
 
 
@@ -330,6 +331,26 @@ class TestInputErrors:
         argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
         assert cli.main(argv) == 1
         assert "lambda_B_dB" in _one_line_error(capsys)
+
+    def test_cd_report_finite_near_float_limit(self, tmp_path, capsys):
+        # (S + 1)^2 would overflow a float at these SNRs; the CD dispersion must not
+        point = write_json(tmp_path / "p.json", dict(BASE_PARAMS, lambda_B_dB=1542))
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--config", point, "--quiet", "--out", str(out)]) == 0
+        assert all(math.isfinite(v) for v in json.loads(out.read_text())["cd_rate_report"].values())
+        spec = spec_dict(sweep={"variable": "lambda_B_dB", "values": [40, 2000]}, mechanisms=["CD"])
+        csv = tmp_path / "o.csv"
+        argv = ["sweep", "--config", write_json(tmp_path / "s.json", spec), "--out", str(csv)]
+        assert cli.main(argv + ["--quiet"]) == 0
+        assert all(map(math.isfinite, map(float, csv.read_text().split()[-1].split(",")[3:])))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["optimize", "analyze"])
+    def test_non_finite_key_bits_are_numeric_failures(self, tmp_path, capsys, command):
+        # h_max^2 lambda_B overflows: the moments and the CD rate turn inf or nan
+        point = write_json(tmp_path / "p.json", dict(BASE_PARAMS, h_max=1e160))
+        assert cli.main([command, "--config", point]) == 2
+        assert "not finite" in _one_line_error(capsys, prefix="numeric failure: ")
 
     @pytest.mark.parametrize(
         "argv",
