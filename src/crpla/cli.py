@@ -6,7 +6,8 @@ numbers), and ``optimize`` (grid search over pilots and h_min).
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 a simulate check FAILed its 3-sigma band.  The environment variable
-CRPLA_SEED provides the default seed.
+CRPLA_SEED provides the default seed.  Each crpla warning is printed to
+stderr as one ``warning: <message>`` line, once per distinct message.
 """
 
 from __future__ import annotations
@@ -17,10 +18,18 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from . import channel, hybrid, montecarlo, sweep
-from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
+from .errors import (
+    ConfigParseError,
+    CrplaError,
+    InsufficientResolutionWarning,
+    NarrowMarginWarning,
+    NumericError,
+    ValidationError,
+)
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
 
@@ -255,11 +264,31 @@ COMMANDS = {
 }
 
 
+def _one_line_warnings(default_format):
+    """A ``warnings.formatwarning`` that renders a crpla warning as one
+    ``warning: <message>`` line and a repeat of its message as nothing."""
+    seen: set[str] = set()
+
+    def format_warning(message, category, filename, lineno, line=None):
+        if not issubclass(category, (NarrowMarginWarning, InsufficientResolutionWarning)):
+            return default_format(message, category, filename, lineno, line)
+        text = str(message)
+        if text in seen:
+            return ""
+        seen.add(text)
+        return f"warning: {text}\n"
+
+    return format_warning
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _one_line_warnings(default_format)
     try:
-        args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        with warnings.catch_warnings():  # fresh per-location warning registries each run
+            args = parser.parse_args(argv)
+            return COMMANDS[args.command](args)
     except (ConfigParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -269,6 +298,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CrplaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -417,8 +420,42 @@ def _small_f_config():
     }
 
 
+ROOT = Path(__file__).resolve().parent.parent
+MARGIN_LINE = (
+    "warning: sphere radius exceeds 10% of the amplitude span; the boundary-free "
+    "volume ratio is a coarse approximation in this regime"
+)
+
+
+def _cli_stderr(tmp_path, *argv) -> str:
+    """Standard error of a fresh ``python -m crpla.cli`` process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    argv = [sys.executable, "-m", "crpla.cli", *argv]
+    result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stderr
+
+
+class TestWarningLines:
+    """A run prints each crpla warning as one line, once per distinct message."""
+
+    def test_sweep_prints_margin_warning_once(self, tmp_path):
+        config = str(ROOT / "configs" / "sweep_hmin.json")
+        stderr = _cli_stderr(tmp_path, "sweep", "--config", config, "--out", "o.csv")
+        assert stderr == MARGIN_LINE + "\n"
+
+    def test_simulate_prints_each_message_once(self, tmp_path):
+        config = str(ROOT / "configs" / "point_high_snr.json")
+        argv = ["simulate", "--config", config, "--trials", "2048", "--seed", "1", "--jobs", "1"]
+        lines = _cli_stderr(tmp_path, *argv).splitlines()
+        assert lines[0] == MARGIN_LINE
+        assert lines[1].startswith("warning: no successes in 2048 trials")
+        assert len(lines) == 2
+
+
 class TestShippedConfigs:
-    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+    CONFIGS = ROOT / "configs"
 
     def test_point_configs_parse(self):
         from crpla.params import load_params
