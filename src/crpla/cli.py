@@ -22,14 +22,8 @@ import warnings
 from typing import Sequence
 
 from . import channel, hybrid, montecarlo, sweep
-from .errors import (
-    ConfigParseError,
-    CrplaError,
-    InsufficientResolutionWarning,
-    NarrowMarginWarning,
-    NumericError,
-    ValidationError,
-)
+from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
+from .errors import InsufficientResolutionWarning, NarrowMarginWarning
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
 
