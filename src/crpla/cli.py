@@ -280,9 +280,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     default_format = warnings.formatwarning
     warnings.formatwarning = _one_line_warnings(default_format)
     try:
-        with warnings.catch_warnings():  # fresh per-location warning registries each run
-            args = parser.parse_args(argv)
-            return COMMANDS[args.command](args)
+        args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except (ConfigParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
