@@ -86,8 +86,8 @@ class Evaluation:
     rates: RateReport | None
 
 
-def _require_finite(mechanism: str, *bits) -> None:
-    if not all(np.all(np.isfinite(b)) for b in bits):
+def _require_finite(mechanism: str, bits) -> None:
+    if not np.isfinite(bits).all():
         raise NumericError(f"{mechanism} key bits are not finite at this operating point")
 
 
@@ -102,7 +102,7 @@ def _hybrid_checks(
     tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
     geometry = channel.geometry(params, tau, pilot_count, h_min)
     rates = coding.hybrid_rates(params, q, pilot_count, h_min)
-    _require_finite("HYBRID", geometry.b_ch, rates.b_key)
+    _require_finite("HYBRID", geometry.b_ch + rates.b_key)
     return geometry, rates
 
 
