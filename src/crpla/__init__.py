@@ -24,10 +24,8 @@ from .hybrid import (
     optimize,
 )
 from .montecarlo import (
-    ChallengeDraw,
     EstimatorMoments,
     TrialBatch,
-    draw_challenge,
     measure_attack_success,
     measure_false_alarm,
     simulate_pilot_estimation,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelGeometry",
-    "ChallengeDraw",
     "EstimatorMoments",
     "Evaluation",
     "MECHANISMS",
@@ -63,7 +60,6 @@ __all__ = [
     "TrialBatch",
     "b_key_cd",
     "chi_square_sf",
-    "draw_challenge",
     "eavesdropper_info",
     "equivalent_key_bits",
     "evaluate",

@@ -192,7 +192,8 @@ def simulate_rows(
     The false-alarm and attack-success rows compare the analytic value
     against the empirical Wilson 3-sigma interval; the estimator rows
     compare the empirical moment against a 3-sigma band around the
-    analytic one.
+    analytic one.  An attack row with no successes and fewer than 10
+    expected is WARN and raises ``InsufficientResolutionWarning``.
     """
     if params.pilot_count < 1:
         raise ConfigParseError("simulate needs pilot_count >= 1 for amplitude estimation")
@@ -203,6 +204,13 @@ def simulate_rows(
     attack = montecarlo.measure_attack_success(params, tau, trials, seed + 1, jobs)
     p_succ = 2.0 ** geometry.log2_p_succ
     unresolved = attack.successes == 0 and p_succ * trials < 10.0
+    if unresolved:
+        warnings.warn(
+            f"no successes in {trials} trials while the analytic expectation is "
+            f"{p_succ * trials:.3g}; increase trials to resolve this setting",
+            InsufficientResolutionWarning,
+            stacklevel=2,
+        )
     moments = montecarlo.simulate_pilot_estimation(
         params.h_max, params.lambda_B, params.pilot_count, trials, seed + 2, jobs
     )

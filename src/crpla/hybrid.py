@@ -122,8 +122,7 @@ def evaluate(
         report = SecurityReport("CH", geometry.b_ch, 0.0, alpha_used=1.0, h_min_used=0.0)
         return Evaluation(report, geometry, None)
     if mechanism == "CD":
-        forced = params.replace(pilot_count=0, h_min=params.h_max)
-        rates = coding.b_key_cd(forced, params.p_FA)
+        rates = coding.b_key_cd(params, params.p_FA)
         _require_finite("CD", rates.b_key)
         report = SecurityReport("CD", 0.0, rates.b_key, alpha_used=0.0, h_min_used=params.h_max)
         return Evaluation(report, None, rates)

@@ -11,7 +11,6 @@ import crpla
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crpla.__path__, "crpla."))
 
 PACKAGE_ALL = [
-    "ChallengeDraw",
     "ChannelGeometry",
     "EstimatorMoments",
     "Evaluation",
@@ -23,7 +22,6 @@ PACKAGE_ALL = [
     "TrialBatch",
     "b_key_cd",
     "chi_square_sf",
-    "draw_challenge",
     "eavesdropper_info",
     "equivalent_key_bits",
     "evaluate",

@@ -6,16 +6,16 @@ the same machinery runs at reduced trial counts with seeded draws.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from crpla import channel, montecarlo
+from crpla import channel, cli, montecarlo
 from crpla.errors import InsufficientResolutionWarning
 from crpla.montecarlo import (
     BLOCK_TRIALS,
     TrialBatch,
-    draw_challenge,
     measure_attack_success,
     measure_false_alarm,
     simulate_pilot_estimation,
@@ -96,21 +96,28 @@ class TestDeterminism:
 
 
 class TestChallengeDraw:
+    """The law of one attack trial: challenge h | guess a from 2F uniforms."""
+
+    @staticmethod
+    def draw(params, rng):
+        row = montecarlo._signed_amplitudes(rng.random(2 * params.F), params.h_min, params.h_max)
+        return row[: params.F], row[params.F :]
+
     def test_bounds_and_shapes(self):
         params = make(F=7)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            draw = draw_challenge(params, rng)
-            assert draw.h.shape == (7,) and draw.a.shape == (7,)
-            for vec in (draw.h, draw.a):
+            h, a = self.draw(params, rng)
+            assert h.shape == (7,) and a.shape == (7,)
+            for vec in (h, a):
                 mag = np.abs(vec)
                 assert np.all(mag >= params.h_min) and np.all(mag <= params.h_max)
 
     def test_signs_realized(self):
         params = make(F=100)
         rng = np.random.default_rng(1)
-        draw = draw_challenge(params, rng)
-        assert np.any(draw.h < 0) and np.any(draw.h > 0)
+        h, _ = self.draw(params, rng)
+        assert np.any(h < 0) and np.any(h > 0)
 
 
 class TestPilotEstimation:
@@ -185,8 +192,16 @@ class TestAttackSuccess:
         assert batch.contains(analytic)
 
     def test_insufficient_resolution_warns(self):
+        # simulate judges the count: 2^-856 * 2000 successes are expected
+        params = make(F=100, lambda_B=1e5, h_min=0.0, p_FA=1e-7)
+        with pytest.warns(InsufficientResolutionWarning, match="no successes in 2000 trials"):
+            rows = cli.simulate_rows(params, 2_000, seed=11)
+        assert rows[2][0] == "attack_success" and rows[2][-1] == "WARN"
+
+    def test_measurement_does_not_judge(self):
         params = make(F=100, lambda_B=1e5, h_min=0.0)
-        with pytest.warns(InsufficientResolutionWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             batch = measure_attack_success(
                 params, channel.threshold_from_pfa(1e-7), 2_000, seed=12
             )
