@@ -141,7 +141,8 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
     chi = math.sqrt(2.0 * F) * tau + F
     radius = (math.sqrt(chi) if chi > 0.0 else 0.0) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
-    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) = -inf is meant
+    # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate rejects
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * np.log2(radius) - log2_gamma_term
         log2_v_cube = F * (1.0 + np.log2(span))
         per_frame = np.log2(math.sqrt(math.pi) * radius / (2.0 * span))

@@ -111,8 +111,12 @@ def _print_report(title: str, report, quiet: bool) -> None:
 
 
 def _with_derived(record, name: str) -> dict:
-    """The record's fields plus its derived property ``name``."""
-    return {**dataclasses.asdict(record), name: getattr(record, name)}
+    """The record's fields plus its derived property ``name``; non-finite floats as None."""
+    fields = {**dataclasses.asdict(record), name: getattr(record, name)}
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in fields.items()
+    }
 
 
 def _analyze_document(params: SystemParams, evaluations: dict) -> dict:
@@ -159,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
     if args.out:
         doc = _analyze_document(params, evaluations)
-        sweep.write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
+        sweep.write_atomic(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -119,6 +119,7 @@ def evaluate(
     if mechanism == "CH":
         forced = params.replace(pilot_count=params.n, h_min=0.0)
         geometry = channel.equivalent_key_bits(forced, params.p_FA, exact_threshold)
+        _require_finite("CH", geometry.b_ch)
         report = SecurityReport("CH", geometry.b_ch, 0.0, alpha_used=1.0, h_min_used=0.0)
         return Evaluation(report, geometry, None)
     if mechanism == "CD":
@@ -188,11 +189,11 @@ def evaluate_grid(
     """Evaluate every hybrid cell of the grid as one array computation,
     with the same checks as the single-point ``evaluate``."""
     pilots, h_values = grid.resolve(params)
-    column, row = np.array(pilots)[:, None], np.array(h_values)
-    geometry, rates = _hybrid_checks(params, column, row, exact_threshold)
     channel_only = (
         evaluate(params, "CH", exact_threshold).report if grid.include_channel_only else None
     )
+    column, row = np.array(pilots)[:, None], np.array(h_values)
+    geometry, rates = _hybrid_checks(params, column, row, exact_threshold)
     return GridCells(params, pilots, h_values, geometry.b_ch, rates.b_key, channel_only)
 
 

@@ -197,6 +197,18 @@ class TestCli:
             doc["reports"]["HYBRID"]["b_ch"] + doc["reports"]["HYBRID"]["b_key"]
         )
 
+    def test_analyze_json_is_strict(self, tmp_path):
+        # h_min = h_max: the cube volume is 0, so log2_v_cube is -inf, written as null
+        cfg = write_json(tmp_path / "p.json", dict(BASE_PARAMS, h_min=1.0))
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--config", cfg, "--quiet", "--out", str(out)]) == 0
+
+        def reject_constant(name):
+            raise ValueError(f"non-finite number {name} in the analyze JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert doc["channel_geometry"]["log2_v_cube"] is None
+
     def test_analyze_degenerate_pilots_still_reports_baselines(self, tmp_path, capsys):
         cfg = dict(BASE_PARAMS)
         cfg["alpha"] = 1.0
@@ -354,6 +366,31 @@ class TestInputErrors:
         point = write_json(tmp_path / "p.json", dict(BASE_PARAMS, h_max=1e160))
         assert cli.main([command, "--config", point]) == 2
         assert "not finite" in _one_line_error(capsys, prefix="numeric failure: ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, params, mechanisms",
+        [
+            ("analyze", dict(BASE_PARAMS, F=1, p_FA=0.9, lambda_B_dB=20), None),
+            ("optimize", dict(BASE_PARAMS, F=1, p_FA=0.9, lambda_B_dB=20), None),
+            ("sweep", dict(BASE_PARAMS, F=1, p_FA=0.9, lambda_B_dB=20), ["CH", "HYBRID_OPT"]),
+            ("sweep", dict(BASE_PARAMS, h_max=1e308), ["CH"]),
+        ],
+        ids=["analyze", "optimize", "sweep", "sweep_span_overflow"],
+    )
+    def test_infinite_channel_bits_are_numeric_failures(
+        self, tmp_path, capsys, command, params, mechanisms
+    ):
+        # chi = sqrt(2F) tau + F < 0 at F = 1, p_FA = 0.9 gives a radius-0 sphere, and
+        # 2 (h_max - h_min) overflows at h_max = 1e308: both make b_ch infinite
+        if command == "sweep":
+            cfg = write_json(tmp_path / "s.json", spec_dict(params=params, mechanisms=mechanisms))
+            extra = ["--out", str(tmp_path / "o.csv")]
+        else:
+            cfg, extra = write_json(tmp_path / "p.json", params), []
+        assert cli.main([command, "--config", cfg, *extra]) == 2
+        assert "CH key bits" in _one_line_error(capsys, prefix="numeric failure: ")
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
