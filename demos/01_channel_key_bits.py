@@ -22,7 +22,7 @@ def show(label: str, params: SystemParams, p_fa_ch: float) -> None:
 def main() -> None:
     print("threshold: tau = Qinv(p_FA), the asymptotic-normal acceptance cut")
     for p in (0.05, 1e-3, 1e-7):
-        print(f"  p_FA={p:<8g} tau={threshold_from_pfa(p):.4f}")
+        print(f"  p_FA={p:<8g} tau={threshold_from_pfa(p, BASE['F']):.4f}")
 
     print("\nmore pilots -> sharper estimate -> smaller sphere -> more bits")
     for pilots in (1, 2, 5, 10):

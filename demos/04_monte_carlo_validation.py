@@ -27,7 +27,7 @@ TRIALS = 500_000
 def main() -> None:
     params = SystemParams(n=10, F=2, pilot_count=10, b_M=0, p_FA=0.05,
                           lambda_B=1e4, lambda_T=1e4, h_min=0.5, h_max=1.0)
-    tau = threshold_from_pfa(params.p_FA)
+    tau = threshold_from_pfa(params.p_FA, params.F)
 
     moments = simulate_pilot_estimation(1.0, params.lambda_B, 10, TRIALS, SEED)
     print("pilot estimator (h=1, 10 pilots):")

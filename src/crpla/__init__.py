@@ -9,7 +9,6 @@ from .channel import (
     sigma_h_sq,
     test_statistic,
     threshold_from_pfa,
-    threshold_from_pfa_exact,
 )
 from .coding import (
     RateReport,
@@ -77,6 +76,5 @@ __all__ = [
     "simulate_pilot_estimation",
     "test_statistic",
     "threshold_from_pfa",
-    "threshold_from_pfa_exact",
     "validate",
 ]

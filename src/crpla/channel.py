@@ -37,7 +37,6 @@ __all__ = [
     "ChannelGeometry",
     "sigma_h_sq",
     "threshold_from_pfa",
-    "threshold_from_pfa_exact",
     "test_statistic",
     "geometry",
     "equivalent_key_bits",
@@ -80,21 +79,20 @@ def sigma_h_sq(params: SystemParams, pilot_count=None):
     return 1.0 / (params.lambda_B * pilots)
 
 
-def threshold_from_pfa(p_fa_ch: float) -> float:
-    """Acceptance threshold from the asymptotic normal law of the statistic."""
-    return q_inverse(p_fa_ch)
+def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
+    """Acceptance threshold for the channel false-alarm budget over F frames.
 
-
-def threshold_from_pfa_exact(p_fa_ch: float, F: int) -> float:
-    """Threshold from the exact finite-F chi-square law of the statistic.
-
-    Solves chi_square_sf(sqrt(2F) * tau + F, F) = p_fa_ch.  Converges to
-    the asymptotic threshold as F grows.
+    By default tau = Qinv(p_fa_ch), from the asymptotic normal law of the
+    statistic, whatever F.  ``exact=True`` solves
+    chi_square_sf(sqrt(2F) * tau + F, F) = p_fa_ch, the exact finite-F
+    chi-square law, which converges to the asymptotic one as F grows.
     """
-    if not 0.0 < p_fa_ch < 1.0:
-        raise DomainError(f"p_fa_ch must lie in (0, 1), got {p_fa_ch!r}")
     if not isinstance(F, int) or F < 1:
         raise DomainError(f"F must be a positive integer, got {F!r}")
+    if not exact:
+        return q_inverse(p_fa_ch)
+    if not 0.0 < p_fa_ch < 1.0:
+        raise DomainError(f"p_fa_ch must lie in (0, 1), got {p_fa_ch!r}")
     x = 2.0 * float(special.gammainccinv(F / 2.0, p_fa_ch))
     if not math.isfinite(x):
         raise ConvergenceError(f"chi-square inversion failed for p={p_fa_ch}, F={F}")
@@ -171,13 +169,8 @@ def equivalent_key_bits(
     """Acceptance-region geometry and equivalent key bits at the configured
     pilot count and h_min, as floats.
 
-    The threshold comes from the asymptotic normal law by default; pass
-    ``exact_threshold=True`` to use the finite-F chi-square inverse.
+    ``exact_threshold`` picks the law of :func:`threshold_from_pfa`.
     """
-    tau = (
-        threshold_from_pfa_exact(p_fa_ch, params.F)
-        if exact_threshold
-        else threshold_from_pfa(p_fa_ch)
-    )
+    tau = threshold_from_pfa(p_fa_ch, params.F, exact_threshold)
     g = geometry(params, tau, params.pilot_count, params.h_min)
     return ChannelGeometry(*map(float, astuple(g)))

@@ -95,11 +95,12 @@ def _hybrid_checks(
     params: SystemParams, pilot_count, h_min, exact_threshold: bool
 ) -> tuple[ChannelGeometry, RateReport]:
     """Both hybrid checks, each on half the false-alarm budget, at scalar or
-    broadcast ``pilot_count`` and ``h_min``; the asymptotic channel threshold
-    and the coding back-off share one quantile Qinv(p_FA / 2)."""
+    broadcast ``pilot_count`` and ``h_min``.  The coding back-off takes
+    Qinv(p_FA / 2), a normal approximation of its own that happens to
+    share the asymptotic channel threshold's quantile."""
     p_half = 0.5 * params.p_FA
     q = q_inverse(p_half)
-    tau = channel.threshold_from_pfa_exact(p_half, params.F) if exact_threshold else q
+    tau = channel.threshold_from_pfa(p_half, params.F, exact_threshold)
     geometry = channel.geometry(params, tau, pilot_count, h_min)
     rates = coding.hybrid_rates(params, q, pilot_count, h_min)
     _require_finite("HYBRID", geometry.b_ch + rates.b_key)

@@ -60,10 +60,10 @@ def test_criterion_1_geometry_oracle():
         (2, 1e4),
         (3, 3e3),
     )
-    tau = channel.threshold_from_pfa(0.05)
     details = []
     ok = True
     for F, lambda_b in settings:
+        tau = channel.threshold_from_pfa(0.05, F)
         params = fig_params(0.0, 1.0, F=F, pilot_count=10, lambda_B=lambda_b,
                             lambda_T=lambda_b, h_min=0.5, p_FA=0.05)
         radius = math.sqrt(

@@ -39,7 +39,6 @@ PACKAGE_ALL = [
     "simulate_pilot_estimation",
     "test_statistic",
     "threshold_from_pfa",
-    "threshold_from_pfa_exact",
     "validate",
 ]
 

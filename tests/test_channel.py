@@ -12,7 +12,6 @@ from crpla.channel import (
     equivalent_key_bits,
     sigma_h_sq,
     threshold_from_pfa,
-    threshold_from_pfa_exact,
 )
 from crpla.errors import DimensionMismatch, DomainError, InvalidPilotCount, NarrowMarginWarning
 from crpla.params import SystemParams
@@ -37,38 +36,51 @@ def make(**overrides):
 
 class TestThresholds:
     def test_median(self):
-        assert threshold_from_pfa(0.5) == 0.0
+        assert threshold_from_pfa(0.5, 100) == 0.0
 
     def test_tail_values(self):
-        assert threshold_from_pfa(1e-7) == pytest.approx(5.1993375821928169, rel=1e-12)
-        assert threshold_from_pfa(0.05) == pytest.approx(1.6448536269514727, rel=1e-12)
+        assert threshold_from_pfa(1e-7, 100) == pytest.approx(5.1993375821928169, rel=1e-12)
+        assert threshold_from_pfa(0.05, 100) == pytest.approx(1.6448536269514727, rel=1e-12)
 
     def test_exact_two_dof_closed_form(self):
         # survival of chi2_2 is exp(-x/2); invert by hand
         for p in (0.3, 0.05, 1e-4):
             expected = (-2.0 * math.log(p) - 2.0) / 2.0
-            assert threshold_from_pfa_exact(p, 2) == pytest.approx(expected, rel=1e-12)
+            assert threshold_from_pfa(p, 2, exact=True) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_round_trip(self):
-        for F in (1, 2, 10, 100):
-            tau = threshold_from_pfa_exact(0.05, F)
-            back = chi_square_sf(math.sqrt(2.0 * F) * tau + F, F)
-            assert back == pytest.approx(0.05, rel=1e-10)
+        # the budgets the library inverts: 0.05 and 1e-3 in the demos,
+        # p_FA = 1e-7 for CH and p_FA / 2 = 5e-8 for each hybrid check
+        for p in (0.05, 1e-3, 1e-7, 5e-8):
+            for F in (1, 2, 10, 100, 1000):
+                tau = threshold_from_pfa(p, F, exact=True)
+                back = chi_square_sf(math.sqrt(2.0 * F) * tau + F, F)
+                assert back == pytest.approx(p, rel=1e-12)
+
+    def test_asymptotic_overshoot_at_shipped_budget(self):
+        # The asymptotic law spends about 97x the hybrid's channel budget at
+        # the shipped F = 100 and p_FA = 1e-7 (ROADMAP item 8).
+        tau = threshold_from_pfa(5e-8, 100)
+        realised = chi_square_sf(math.sqrt(200.0) * tau + 100.0, 100)
+        assert realised / 5e-8 == pytest.approx(96.76, rel=1e-3)
 
     def test_exact_near_asymptotic_at_f100(self):
-        assert abs(threshold_from_pfa_exact(0.05, 100) - threshold_from_pfa(0.05)) < 0.2
+        exact = threshold_from_pfa(0.05, 100, exact=True)
+        assert abs(exact - threshold_from_pfa(0.05, 100)) < 0.2
 
     def test_exact_converges_to_asymptotic(self):
-        gap_small = abs(threshold_from_pfa_exact(0.5, 100) - 0.0)
-        gap_large = abs(threshold_from_pfa_exact(0.5, 100_000) - 0.0)
+        gap_small = abs(threshold_from_pfa(0.5, 100, exact=True) - 0.0)
+        gap_large = abs(threshold_from_pfa(0.5, 100_000, exact=True) - 0.0)
         assert gap_large < gap_small
         assert gap_large < 1e-2
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            threshold_from_pfa(0.0)
+            threshold_from_pfa(0.0, 100)
         with pytest.raises(DomainError):
-            threshold_from_pfa_exact(0.05, 0)
+            threshold_from_pfa(0.05, 0)
+        with pytest.raises(DomainError):
+            threshold_from_pfa(0.05, 0, exact=True)
 
 
 class TestTestStatistic:
@@ -116,7 +128,7 @@ class TestLog2PSucc:
     def test_clamped_when_sphere_dominates(self):
         params = make(lambda_B=1e-6, pilot_count=1)  # enormous estimator noise
         with pytest.warns(NarrowMarginWarning):
-            assert log2_success(params, threshold_from_pfa(0.05)) == 0.0
+            assert log2_success(params, threshold_from_pfa(0.05, params.F)) == 0.0
 
     def test_f2_hand_value(self):
         # radius^2 = 2 sigma^2 at tau=0; V_s/V_c = pi*2e-4/4 for sigma=0.01, span=1
@@ -127,20 +139,20 @@ class TestLog2PSucc:
 
     def test_fig_parameters_finite_and_large(self):
         params = make(lambda_B=1e5)
-        value = log2_success(params, threshold_from_pfa(1e-7))
+        value = log2_success(params, threshold_from_pfa(1e-7, params.F))
         assert math.isfinite(value)
         assert 100.0 < -value < 2000.0
 
     def test_no_overflow_at_extreme_f(self):
         for F in (1_000, 10_000):
             params = make(F=F, lambda_B=1e5)
-            assert math.isfinite(log2_success(params, threshold_from_pfa(1e-7)))
+            assert math.isfinite(log2_success(params, threshold_from_pfa(1e-7, params.F)))
 
     def test_matches_direct_formula_at_small_f(self):
         # direct (non-log) volume ratio is representable for small F
-        tau = threshold_from_pfa(0.05)
         for F in range(1, 21):
             params = make(F=F, lambda_B=1e4)
+            tau = threshold_from_pfa(0.05, F)
             chi = math.sqrt(2.0 * F) * tau + F
             radius = math.sqrt(chi * sigma_h_sq(params))
             v_s = math.pi ** (F / 2.0) / math.exp(log_gamma(F / 2.0 + 1.0)) * radius**F
@@ -150,7 +162,7 @@ class TestLog2PSucc:
 
     def test_degenerate_span_convention(self):
         params = make(h_min=1.0, h_max=1.0)
-        assert log2_success(params, threshold_from_pfa(0.05)) == 0.0
+        assert log2_success(params, threshold_from_pfa(0.05, params.F)) == 0.0
 
 
 class TestEquivalentKeyBits:
@@ -208,6 +220,6 @@ class TestEquivalentKeyBits:
     def test_exact_threshold_option(self):
         asymptotic = equivalent_key_bits(make(lambda_B=1e5), 0.05)
         exact = equivalent_key_bits(make(lambda_B=1e5), 0.05, exact_threshold=True)
-        assert exact.tau == pytest.approx(threshold_from_pfa_exact(0.05, 100), rel=1e-12)
+        assert exact.tau == pytest.approx(threshold_from_pfa(0.05, 100, exact=True), rel=1e-12)
         assert exact.tau > asymptotic.tau
         assert exact.b_ch < asymptotic.b_ch

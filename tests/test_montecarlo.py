@@ -68,21 +68,21 @@ class TestWilson:
 class TestDeterminism:
     def test_same_seed_same_batch(self):
         params = make()
-        tau = channel.threshold_from_pfa(params.p_FA)
+        tau = channel.threshold_from_pfa(params.p_FA, params.F)
         a = measure_attack_success(params, tau, 50_000, seed=11)
         b = measure_attack_success(params, tau, 50_000, seed=11)
         assert a == b
 
     def test_different_seed_differs(self):
         params = make()
-        tau = channel.threshold_from_pfa(params.p_FA)
+        tau = channel.threshold_from_pfa(params.p_FA, params.F)
         a = measure_attack_success(params, tau, 200_000, seed=11)
         b = measure_attack_success(params, tau, 200_000, seed=12)
         assert a.successes != b.successes
 
     def test_worker_count_invariance(self):
         params = make()
-        tau = channel.threshold_from_pfa(params.p_FA)
+        tau = channel.threshold_from_pfa(params.p_FA, params.F)
         trials = 3 * BLOCK_TRIALS + 123  # exercises a partial final block
         serial = measure_attack_success(params, tau, trials, seed=3, jobs=1)
         parallel = measure_attack_success(params, tau, trials, seed=3, jobs=4)
@@ -158,14 +158,14 @@ class TestFalseAlarm:
 
     def test_matches_exact_tail(self):
         params = make(F=100)
-        tau = channel.threshold_from_pfa(0.05)
+        tau = channel.threshold_from_pfa(0.05, params.F)
         batch = measure_false_alarm(params, tau, 200_000, seed=7)
         exact = chi_square_sf(math.sqrt(200.0) * tau + 100.0, 100)
         assert batch.contains(exact)
 
     def test_invariant_to_challenge_distribution(self):
         # the statistic depends only on the residuals, so h is not even drawn
-        tau = channel.threshold_from_pfa(0.05)
+        tau = channel.threshold_from_pfa(0.05, 100)
         spread = measure_false_alarm(make(F=100), tau, 200_000, seed=8)
         pinned = measure_false_alarm(make(F=100, h_min=1.0), tau, 200_000, seed=8)
         assert spread == pinned
@@ -174,7 +174,8 @@ class TestFalseAlarm:
 class TestAttackSuccess:
     def test_sphere_engulfs_support(self):
         params = make(F=2, lambda_B=1e-3, pilot_count=1)  # radius >> span
-        batch = measure_attack_success(params, channel.threshold_from_pfa(0.05), 5_000, seed=9)
+        tau = channel.threshold_from_pfa(0.05, params.F)
+        batch = measure_attack_success(params, tau, 5_000, seed=9)
         assert batch.estimate == 1.0
 
     def test_sign_ambiguity_only(self):
@@ -185,7 +186,7 @@ class TestAttackSuccess:
 
     def test_headline_geometry_agreement(self):
         params = make(F=2)
-        tau = channel.threshold_from_pfa(0.05)
+        tau = channel.threshold_from_pfa(0.05, params.F)
         geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
         analytic = 2.0**geometry.log2_p_succ
         batch = measure_attack_success(params, tau, 1_000_000, seed=11)
@@ -203,7 +204,7 @@ class TestAttackSuccess:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = measure_attack_success(
-                params, channel.threshold_from_pfa(1e-7), 2_000, seed=12
+                params, channel.threshold_from_pfa(1e-7, params.F), 2_000, seed=12
             )
         assert batch.successes == 0
 
@@ -219,7 +220,7 @@ def _pinned_run(F, jobs=1):
     and 0.2 at F=1000, so both counts move with any change of stream.
     """
     params = make(F=F, h_min=0.0, pilot_count=1, lambda_B=1.0 / 0.6)
-    tau = channel.threshold_from_pfa(0.05)
+    tau = channel.threshold_from_pfa(0.05, params.F)
     return (
         measure_false_alarm(params, tau, PIN_TRIALS, seed=21, jobs=jobs),
         measure_attack_success(params, tau, PIN_TRIALS, seed=22, jobs=jobs),
