@@ -17,6 +17,8 @@ All volumes are handled in log2 to stay finite for F in the thousands.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import astuple, dataclass
 
@@ -43,6 +45,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,14 @@ def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
 
 
+def _outside_stacklevel() -> int:
+    """Stacklevel of the innermost frame outside crpla: the caller's own line."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeometry:
     """Acceptance-region geometry at threshold ``tau`` for each pilot count
     and h_min.
@@ -151,7 +162,7 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
             "sphere radius exceeds 10% of the amplitude span; the boundary-free "
             "volume ratio is a coarse approximation in this regime",
             NarrowMarginWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     return ChannelGeometry(
         tau=tau,

@@ -6,8 +6,9 @@ numbers), and ``optimize`` (grid search over pilots and h_min).
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 a simulate check FAILed its 3-sigma band.  The environment variable
-CRPLA_SEED provides the default seed.  Each crpla warning is printed to
-stderr as one ``warning: <message>`` line, once per distinct message.
+CRPLA_SEED provides the default seed.  A NarrowMarginWarning is printed to
+stderr as one ``warning: <message>`` line, once per distinct message, and
+so is each WARN verdict of ``simulate``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import warnings
 from typing import Sequence
 
 from . import channel, hybrid, montecarlo, sweep
-from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
-from .errors import InsufficientResolutionWarning, NarrowMarginWarning
+from .errors import ConfigParseError, CrplaError, NarrowMarginWarning, NumericError, ValidationError
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
 
@@ -197,7 +197,7 @@ def simulate_rows(
     against the empirical Wilson 3-sigma interval; the estimator rows
     compare the empirical moment against a 3-sigma band around the
     analytic one.  An attack row with no successes and fewer than 10
-    expected is WARN and raises ``InsufficientResolutionWarning``.
+    expected is WARN: the trials cannot resolve it.
     """
     if params.pilot_count < 1:
         raise ConfigParseError("simulate needs pilot_count >= 1 for amplitude estimation")
@@ -208,13 +208,6 @@ def simulate_rows(
     attack = montecarlo.measure_attack_success(params, tau, trials, seed + 1, jobs)
     p_succ = 2.0 ** geometry.log2_p_succ
     unresolved = attack.successes == 0 and p_succ * trials < 10.0
-    if unresolved:
-        warnings.warn(
-            f"no successes in {trials} trials while the analytic expectation is "
-            f"{p_succ * trials:.3g}; increase trials to resolve this setting",
-            InsufficientResolutionWarning,
-            stacklevel=2,
-        )
     moments = montecarlo.simulate_pilot_estimation(
         params.h_max, params.lambda_B, params.pilot_count, trials, seed + 2, jobs
     )
@@ -249,6 +242,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigParseError(f"--trials must be >= 2, got {args.trials}")
     seed = args.seed if args.seed is not None else _default_seed()
     rows = simulate_rows(params, args.trials, seed, args.jobs, args.exact_threshold)
+    for _, analytic, *_, verdict in rows:
+        if verdict == "WARN":
+            print(
+                f"warning: no successes in {args.trials} trials while the analytic expectation "
+                f"is {analytic * args.trials:.3g}; increase trials to resolve this setting",
+                file=sys.stderr,
+            )
     if not args.quiet:
         print(f"# {args.trials} trials per check, seed {seed}")
         print(
@@ -271,12 +271,12 @@ COMMANDS = {
 
 
 def _one_line_warnings(default_format):
-    """A ``warnings.formatwarning`` that renders a crpla warning as one
+    """A ``warnings.formatwarning`` that renders a NarrowMarginWarning as one
     ``warning: <message>`` line and a repeat of its message as nothing."""
     seen: set[str] = set()
 
     def format_warning(message, category, filename, lineno, line=None):
-        if not issubclass(category, (NarrowMarginWarning, InsufficientResolutionWarning)):
+        if not issubclass(category, NarrowMarginWarning):
             return default_format(message, category, filename, lineno, line)
         text = str(message)
         if text in seen:

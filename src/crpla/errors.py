@@ -52,7 +52,3 @@ class DimensionMismatch(NumericError):
 
 class NarrowMarginWarning(UserWarning):
     """Sphere radius is not small next to the admissible amplitude range."""
-
-
-class InsufficientResolutionWarning(UserWarning):
-    """Monte Carlo trial count too small to resolve the predicted probability."""

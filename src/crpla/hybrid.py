@@ -95,9 +95,8 @@ def _hybrid_checks(
     params: SystemParams, pilot_count, h_min, exact_threshold: bool
 ) -> tuple[ChannelGeometry, RateReport]:
     """Both hybrid checks, each on half the false-alarm budget, at scalar or
-    broadcast ``pilot_count`` and ``h_min``.  The coding back-off takes
-    Qinv(p_FA / 2), a normal approximation of its own that happens to
-    share the asymptotic channel threshold's quantile."""
+    broadcast ``pilot_count`` and ``h_min``; the coding back-off keeps its own
+    Qinv(p_FA / 2), which the asymptotic channel threshold happens to share."""
     p_half = 0.5 * params.p_FA
     q = q_inverse(p_half)
     tau = channel.threshold_from_pfa(p_half, params.F, exact_threshold)

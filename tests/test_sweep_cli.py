@@ -464,18 +464,25 @@ MARGIN_LINE = (
 )
 
 
-def _cli_stderr(tmp_path, *argv) -> str:
-    """Standard error of a fresh ``python -m crpla.cli`` process."""
+def _python_stderr(tmp_path, *argv) -> str:
+    """Standard error of a fresh ``python *argv`` process with the default
+    warning filters."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    argv = [sys.executable, "-m", "crpla.cli", *argv]
+    argv = [sys.executable, *argv]
     result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stderr
 
 
+def _cli_stderr(tmp_path, *argv) -> str:
+    """Standard error of a fresh ``python -m crpla.cli`` process."""
+    return _python_stderr(tmp_path, "-m", "crpla.cli", *argv)
+
+
 class TestWarningLines:
-    """A run prints each crpla warning as one line, once per distinct message."""
+    """A CLI run prints each warning as one line, once per distinct message,
+    and a warning from the library names the line that called into crpla."""
 
     def test_sweep_prints_margin_warning_once(self, tmp_path):
         config = str(ROOT / "configs" / "sweep_hmin.json")
@@ -489,6 +496,22 @@ class TestWarningLines:
         assert lines[0] == MARGIN_LINE
         assert lines[1].startswith("warning: no successes in 2048 trials")
         assert len(lines) == 2
+
+    def test_demo_warning_names_the_demo(self, tmp_path):
+        demo = ROOT / "demos" / "01_channel_key_bits.py"
+        first = _python_stderr(tmp_path, str(demo)).splitlines()[0]
+        assert first.startswith(f"{demo}:")
+
+    def test_library_warning_names_the_callers_line(self, tmp_path):
+        config = ROOT / "configs" / "point_high_snr.json"
+        script = tmp_path / "caller.py"
+        script.write_text(
+            "import crpla\n"
+            "\n"
+            f"crpla.evaluate(crpla.load_params({str(config)!r}), 'HYBRID')\n"
+        )
+        first = _python_stderr(tmp_path, str(script)).splitlines()[0]
+        assert first.startswith(f"{script}:3: NarrowMarginWarning: ")
 
 
 class TestShippedConfigs:
