@@ -23,17 +23,15 @@ import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
-    ConvergenceError,
     DimensionMismatch,
     DomainError,
     InvalidPilotCount,
     NarrowMarginWarning,
 )
 from .params import SystemParams
-from .specfun import log_gamma, q_inverse
+from .specfun import chi_square_isf, log_gamma, q_inverse
 
 __all__ = [
     "ChannelGeometry",
@@ -88,18 +86,16 @@ def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
     By default tau = Qinv(p_fa_ch), from the asymptotic normal law of the
     statistic, whatever F.  ``exact=True`` solves
     chi_square_sf(sqrt(2F) * tau + F, F) = p_fa_ch, the exact finite-F
-    chi-square law, which converges to the asymptotic one as F grows.
+    chi-square law, which converges to the asymptotic one as F grows; the
+    root comes from :func:`~crpla.specfun.chi_square_isf`, Newton steps on
+    the log survival function started from the Wilson-Hilferty
+    approximation, and raises ConvergenceError if they do not converge.
     """
     if not isinstance(F, int) or F < 1:
         raise DomainError(f"F must be a positive integer, got {F!r}")
     if not exact:
         return q_inverse(p_fa_ch)
-    if not 0.0 < p_fa_ch < 1.0:
-        raise DomainError(f"p_fa_ch must lie in (0, 1), got {p_fa_ch!r}")
-    x = 2.0 * float(special.gammainccinv(F / 2.0, p_fa_ch))
-    if not math.isfinite(x):
-        raise ConvergenceError(f"chi-square inversion failed for p={p_fa_ch}, F={F}")
-    return (x - F) / math.sqrt(2.0 * F)
+    return (chi_square_isf(p_fa_ch, F) - F) / math.sqrt(2.0 * F)
 
 
 def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:

@@ -38,7 +38,6 @@ for false alarms and one uniform plus one integer sign per amplitude.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -92,6 +91,9 @@ def _tile_buffer(rows: int, cols: int) -> np.ndarray:
 def _map_blocks(fn: Callable, tasks: Sequence[tuple], jobs: int) -> Iterable:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: it pulls in multiprocessing, which no serial run needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 

@@ -32,7 +32,7 @@ ANALYZE_STDOUT = {
 }
 ANALYZE_JSON = {
     ("point_high_snr.json", False): "556ae1f1f84fdd2658518083ec0a234257d3ca545beb8d2d7ff6ef56e5cfcf41",
-    ("point_high_snr.json", True): "cbdd562bed69e07bf912eaa4f353affc1bad509eb1980daa5d8eacc2ff6cd31f",
+    ("point_high_snr.json", True): "2ace46bf7e451801c1e6d5ad5c176ca9baa33a4b356d1fbae50e18157a9ecb27",
     ("validate_small_f.json", False): "50d9773f2bb9df45b329df61ef9d02478a26e384e65d37057ed45484c3cae13d",
     ("validate_small_f.json", True): "ef0db35a30f68b74cd253cc08e53defb2f801849ba1a03cff7ff17e15ac9c489",
 }

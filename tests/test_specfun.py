@@ -2,8 +2,9 @@
 
 Derived expectations come from independent routes: extended-precision
 values frozen from a 50-digit erfc evaluation, exact log-factorial sums,
-closed-form antiderivatives, brute-force Riemann sums, and a seeded
-sampling oracle for the chi-square tail.
+closed-form antiderivatives, brute-force Riemann sums, a seeded sampling
+oracle for the chi-square tail, and ``scipy.special`` (a test-only
+dependency) for the chi-square survival function and its inverse.
 """
 
 import math
@@ -13,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpla.errors import DomainError
-from crpla.specfun import chi_square_sf, log_gamma, q_function, q_inverse
+from scipy import special
+
+from crpla import specfun
+from crpla.errors import ConvergenceError, DomainError
+from crpla.specfun import chi_square_isf, chi_square_sf, log_gamma, q_function, q_inverse
 from quadrature_oracle import DegenerateInterval, uniform_expectation
 
 # Frozen from mpmath at 50 digits: 0.5*erfc(x/sqrt(2)) and its inverse.
@@ -125,6 +129,87 @@ class TestChiSquareSf:
             chi_square_sf(-1.0, 3)
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
+
+
+# Frozen from mpmath at 50 digits: gammainc(k/2, x/2, regularized=True),
+# the upper regularized incomplete gamma function.
+CHI_SQUARE_SF_MPMATH = [
+    (1, 30.0, 4.3204630578274975e-08),
+    (7, 40.0, 1.2587903873713088e-06),
+    (100, 200.0, 1.1784500720979422e-08),
+    (867, 1300.0, 6.552706225717556e-20),
+    (1000, 1000.0, 0.49405285382923964),
+    (101, 1200.0, 2.2213493980075094e-187),
+    (10, 1400.0, 9.920391479800145e-295),
+]
+
+# ln p drawn uniformly between the bounds
+_log_sf_targets = st.floats(math.log(1e-20), math.log(0.98))
+_log_isf_targets = st.floats(math.log(1e-30), math.log(0.5))
+
+
+class TestChiSquareAgainstScipy:
+    """The integer-dof sum and its inverse against scipy.special.
+
+    scipy's gammaincc is itself off the 50-digit value by up to about
+    9e-13 relative near F = 1000 and sf = 1e-20, so the 1e-12 gate mostly
+    measures the oracle; the mpmath values below pin the sum at 1e-13.
+    """
+
+    @given(k=st.integers(1, 1001), log_p=_log_sf_targets)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sf_matches_gammaincc(self, k, log_p):
+        x = 2.0 * float(special.gammainccinv(k / 2.0, math.exp(log_p)))
+        oracle = float(special.gammaincc(k / 2.0, x / 2.0))
+        assert chi_square_sf(x, k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @given(k=st.integers(1, 4000), log_p=_log_isf_targets)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_isf_matches_gammainccinv(self, k, log_p):
+        p = math.exp(log_p)
+        oracle = 2.0 * float(special.gammainccinv(k / 2.0, p))
+        assert chi_square_isf(p, k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k,x,expected", CHI_SQUARE_SF_MPMATH)
+    def test_sf_against_mpmath(self, k, x, expected):
+        assert chi_square_sf(x, k) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+class TestChiSquareEdges:
+    @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.5, 7.0, 80.0, 1400.0])
+    def test_one_dof_is_erfc(self, x):
+        assert chi_square_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.5, 7.0, 80.0, 1400.0])
+    def test_two_dof_is_exp(self, x):
+        assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 10, 11, 1000, 1001])
+    def test_past_peak_underflow(self, k):
+        # every term, the largest included, is below the smallest double
+        x = 4000.0
+        assert chi_square_sf(x, k) == 0.0
+        assert float(special.gammaincc(k / 2.0, x / 2.0)) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100, 4001])
+    def test_isf_round_trip_deep_tail(self, k):
+        for p in (1e-300, 1e-100):
+            assert chi_square_sf(chi_square_isf(p, k), k) == pytest.approx(p, rel=1e-12)
+
+    def test_isf_of_half_and_above(self):
+        for k in (1, 2, 5, 100):
+            for p in (0.5, 0.9, 0.999):
+                assert chi_square_sf(chi_square_isf(p, k), k) == pytest.approx(p, rel=1e-13)
+
+    def test_isf_raises_rather_than_return_unconverged(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_ISF_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            chi_square_isf(1e-7, 100)
+
+    @pytest.mark.parametrize("p,k", [(0.0, 3), (1.0, 3), (float("nan"), 3), (0.1, 0), (0.1, 2.0)])
+    def test_isf_domain(self, p, k):
+        with pytest.raises(DomainError):
+            chi_square_isf(p, k)
 
 
 def _riemann_mean(f, a, b, points=10_000_000):
