@@ -50,6 +50,9 @@ def _default_seed() -> int:
 
 
 def _default_jobs() -> int:
+    """The CPUs this process may run on, where the platform says; else all CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

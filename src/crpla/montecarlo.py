@@ -9,10 +9,12 @@ judging them against the analytic values is left to ``crpla simulate``.
 Reproducibility scheme
 ----------------------
 Trials are partitioned into fixed blocks of ``BLOCK_TRIALS`` = 2**14.
-Block ``b`` of run ``seed`` draws from ``Philox(key=seed).jumped(b)``
-(the Philox 4x64-10 counter-based generator, counter advanced by
-b * 2**128), and the draw order inside a block is fixed.  Every trial's
-outcome is therefore a pure function of (seed, trials); per-block partial
+Block ``b`` of run ``seed`` draws from the SFC64 generator seeded by
+``SeedSequence(seed mod 2**64, spawn_key=(b,))``, numpy's way to make
+independent parallel streams; the pilot kernel uses the two child streams
+``spawn_key=(b, 0)`` and ``(b, 1)``.  ``_block_rng`` is the only place a
+generator is made.  The draw order inside a block is fixed, so every
+trial's outcome is a pure function of (seed, trials); per-block partial
 results are reduced in block order, so counts, means, and variances are
 bit-identical no matter how many workers participate.
 
@@ -23,16 +25,20 @@ Draw order inside a block (one row per trial, rows in trial order):
 * attack: 2F uniforms, the challenge h in the first F columns and the
   guess a in the last F; each signed amplitude comes from one uniform u
   as copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1;
-* pilot estimation: the pilot phases, then the real and the imaginary
-  noise parts, each as one (rows, pilot_count) array.
+* pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
+  from child stream 0, and 2 * pilot_count standard normals, the real
+  then the imaginary noise parts, from child stream 1.
 
-The false-alarm and attack blocks are processed in row tiles of at most
-``TILE_BYTES`` of draws.  A tile takes the next rows of the block's
-stream, so the tiles concatenate to the whole-block draw and every count
-is independent of the tile size; memory per worker stays bounded as F
-grows.  This draw order is version 2 of the reproducibility contract:
-the false-alarm and attack streams differ from version 1, which drew h
-for false alarms and one uniform plus one integer sign per amplitude.
+Every kernel walks its block in row tiles of at most ``TILE_BYTES`` of
+draws.  A tile takes the next rows of each stream, so the tiles
+concatenate to the whole-block draw and every count, and every per-row
+pilot estimate, is independent of the tile size; memory per worker
+stays bounded as F and pilot_count grow.  This is version 3 of the
+reproducibility contract.  Version 2 drew every block from
+``Philox(key=seed).jumped(b)`` and the pilot block as whole
+(rows, pilot_count) arrays from that one stream, in the order phases,
+real noise, imaginary noise; version 1 also drew h for false alarms and
+one uniform plus one integer sign per attack amplitude.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from . import channel
 from .params import SystemParams
@@ -59,13 +65,17 @@ __all__ = [
 
 BLOCK_TRIALS = 1 << 14
 # Draws held at once per block; the attack's amplitudes add as much again,
-# so a tile's working set stays within a 2 MiB per-core L2 cache.
+# so a tile's working set stays within a 2 MiB per-core L2 cache.  The
+# pilot kernel's phases and complex symbols add 2.5 tiles.
 TILE_BYTES = 1 << 20
+# SeedSequence takes no negative entropy; a negative seed is read as its
+# 64-bit two's complement.
 _SEED_MASK = (1 << 64) - 1
 
 
-def _block_rng(seed: int, block: int) -> Generator:
-    return Generator(Philox(key=seed & _SEED_MASK).jumped(block))
+def _block_rng(seed: int, *spawn_key: int) -> Generator:
+    """The stream of block ``spawn_key[0]`` of run ``seed``, or of one of its children."""
+    return Generator(SFC64(SeedSequence(seed & _SEED_MASK, spawn_key=spawn_key)))
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -173,15 +183,28 @@ def _signed_amplitudes(
 
 def _pilot_block(task: tuple) -> tuple[float, float]:
     seed, block, rows, h, sigma_b, pilots = task
-    rng = _block_rng(seed, block)
-    phase = rng.uniform(0.0, 2.0 * math.pi, (rows, pilots))
-    x = np.exp(1j * phase)
-    w = sigma_b * (rng.standard_normal((rows, pilots)) + 1j * rng.standard_normal((rows, pilots)))
-    estimates = np.mean(((h * x + w) / x).real, axis=1)
+    phase_rng = _block_rng(seed, block, 0)
+    noise_rng = _block_rng(seed, block, 1)
+    noise = _tile_buffer(rows, 2 * pilots)  # real | imaginary parts
+    phase = np.empty((len(noise), pilots))
+    x = np.empty(phase.shape, dtype=complex)  # unit-modulus pilots
+    y = np.empty_like(x)  # received symbols h x + w
+    estimates = np.empty(rows)
+    for start in range(0, rows, len(noise)):
+        w = noise_rng.standard_normal(out=noise[: rows - start])
+        w *= sigma_b
+        tile = len(w)
+        pilot = np.multiply(phase_rng.random(out=phase[:tile]), 2j * math.pi, out=x[:tile])
+        np.exp(pilot, out=pilot)
+        received = np.multiply(pilot, h, out=y[:tile])
+        received.real += w[:, :pilots]
+        received.imag += w[:, pilots:]
+        received /= pilot
+        np.mean(received.real, axis=1, out=estimates[start : start + tile])
     # Accumulate around the known center h: the raw sum of squares would
     # cancel catastrophically once the noise is much smaller than h.
-    delta = estimates - h
-    return float(np.sum(delta)), float(np.sum(delta * delta))
+    estimates -= h
+    return float(np.sum(estimates)), float(np.sum(estimates * estimates))
 
 
 def simulate_pilot_estimation(

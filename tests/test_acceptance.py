@@ -2,8 +2,8 @@
 
 One test per criterion; each prints a ``[criterion N] PASS`` line (visible
 with ``pytest -s``) before asserting, so a red run still shows which
-guarantees held.  Heavy Monte Carlo runs use pinned seeds; the Philox
-streams are platform-stable.
+guarantees held.  Heavy Monte Carlo runs use pinned seeds; the SFC64
+block streams are platform-stable.
 """
 
 import json

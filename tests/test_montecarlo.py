@@ -4,6 +4,7 @@ The heavyweight 1e7-trial agreements live in the acceptance suite; here
 the same machinery runs at reduced trial counts with seeded draws.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -227,15 +228,15 @@ def _pinned_run(F, jobs=1):
 
 
 class TestStreamContract:
-    """(seed, trials) -> result, pinned for version 2 of the draw order."""
+    """(seed, trials) -> result, pinned for version 3 of the stream contract."""
 
     # F -> ((false-alarm successes, estimate), (attack successes, estimate))
     GOLDEN = {
-        100: ((1980, 0.05863539445628998), (27779, 0.8226427386875148)),
-        1000: ((1802, 0.053364131722340676), (6133, 0.181621653636579)),
+        100: ((1950, 0.057746979388770436), (27738, 0.8214285714285714)),
+        1000: ((1768, 0.05235726131248519), (6185, 0.18316157308694622)),
     }
-    # The pilot stream is unchanged from version 1.
-    PILOT_MOMENTS = (1.0000936585668823, 0.0010048616573650013)
+    # The pilot run does not depend on F.
+    PILOT_MOMENTS = (0.9999863526651794, 0.0009958132032588049)
 
     @pytest.mark.parametrize("F", sorted(GOLDEN))
     def test_pinned(self, F):
@@ -261,6 +262,47 @@ class TestStreamContract:
     def test_worker_count_invariance(self):
         assert _pinned_run(100, jobs=3) == _pinned_run(100)
 
+    @pytest.mark.parametrize("spawn_key", [(0,), (3,), (2, 1)])
+    def test_negative_seed_is_its_twos_complement(self, spawn_key):
+        negative = montecarlo._block_rng(-1, *spawn_key).random(8)
+        assert np.array_equal(negative, montecarlo._block_rng(2**64 - 1, *spawn_key).random(8))
+
+
+class TestSeedingPoint:
+    """Every kernel draws only from ``_block_rng``: one stream per block, or
+    one per child stream of a pilot block.
+
+    The patched ``_block_rng`` hands out the streams of seed + OFFSET, so a
+    run at seed 5 reproduces the unpatched run at 5 + OFFSET only if no draw
+    bypasses it.
+    """
+
+    OFFSET = 1000
+    BLOCKS = [(0,), (1,), (2,)]  # PIN_TRIALS fills two blocks and part of a third
+    KERNELS = {
+        "false_alarm": (lambda seed: measure_false_alarm(make(F=3), 0.5, PIN_TRIALS, seed), BLOCKS),
+        "attack": (lambda seed: measure_attack_success(make(F=3), 0.5, PIN_TRIALS, seed), BLOCKS),
+        "pilot": (
+            lambda seed: simulate_pilot_estimation(1.0, 100.0, 4, PIN_TRIALS, seed),
+            [block + (child,) for block in BLOCKS for child in (0, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_one_stream_per_block(self, monkeypatch, kernel):
+        run, streams = self.KERNELS[kernel]
+        expected = run(5 + self.OFFSET)
+        block_rng = montecarlo._block_rng
+        calls = []
+
+        def counting(seed, *spawn_key):
+            calls.append((seed, spawn_key))
+            return block_rng(seed + self.OFFSET, *spawn_key)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", counting)
+        assert run(5) == dataclasses.replace(expected, seed=5)
+        assert sorted(calls) == [(5, key) for key in streams]
+
 
 def _peak_bytes(kernel, task):
     tracemalloc.start()
@@ -274,8 +316,9 @@ def _peak_bytes(kernel, task):
 class TestBoundedMemory:
     """One block's peak allocation is set by the tile budget, not by F.
 
-    Untiled, 2048 rows of the attack at F=1000 would hold 64 MiB.  A
-    quarter tile of slack covers the per-row statistics.
+    Untiled, 2048 rows of the attack at F=1000 would hold 64 MiB, and of
+    the pilot estimation at 1000 pilots about 110 MiB.  A quarter tile of
+    slack covers the per-row statistics.
     """
 
     @pytest.mark.parametrize("F", [1000, 4000])
@@ -287,3 +330,8 @@ class TestBoundedMemory:
     def test_false_alarm_block(self, F):
         peak = _peak_bytes(montecarlo._false_alarm_block, (1, 0, 2048, F, 1.6))
         assert peak < 1.25 * montecarlo.TILE_BYTES  # the residuals of one tile
+
+    @pytest.mark.parametrize("pilots", [100, 1000])
+    def test_pilot_block(self, pilots):
+        peak = _peak_bytes(montecarlo._pilot_block, (1, 0, 2048, 1.0, 0.1, pilots))
+        assert peak < 3.75 * montecarlo.TILE_BYTES  # noise, phases and two complex tiles

@@ -286,6 +286,24 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg, "--trials", "2048", "--jobs", "1"]) in (0, 3)
         assert "seed 777" in capsys.readouterr().out
 
+    def test_negative_seed_runs(self, tmp_path):
+        config = str(ROOT / "configs" / "validate_small_f.json")
+        argv = ["simulate", "--config", config, "--seed", "-1", "--trials", "2048", "--jobs", "1"]
+        result = _python(tmp_path, "-m", "crpla.cli", *argv)
+        assert result.returncode in (0, 3), result.stderr
+        assert "Traceback" not in result.stderr
+        assert "seed -1" in result.stdout
+
+    def test_default_jobs_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._default_jobs() == 2
+        assert cli.build_parser().parse_args(["simulate", "--config", "p.json"]).jobs == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._default_jobs() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._default_jobs() == 1
+
     def test_optimize_grid_csv(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "p.json", BASE_PARAMS)
         grid_out = tmp_path / "grid.csv"
@@ -464,13 +482,17 @@ MARGIN_LINE = (
 )
 
 
-def _python_stderr(tmp_path, *argv) -> str:
-    """Standard error of a fresh ``python *argv`` process with the default
-    warning filters."""
+def _python(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """A fresh ``python *argv`` process with the default warning filters."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(ROOT / "src")
     argv = [sys.executable, *argv]
-    result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+def _python_stderr(tmp_path, *argv) -> str:
+    """Standard error of ``_python``, which must exit 0."""
+    result = _python(tmp_path, *argv)
     assert result.returncode == 0, result.stderr
     return result.stderr
 
