@@ -194,12 +194,12 @@ def _pilot_block(task: tuple) -> tuple[float, float]:
         w = noise_rng.standard_normal(out=noise[: rows - start])
         w *= sigma_b
         tile = len(w)
-        pilot = np.multiply(phase_rng.random(out=phase[:tile]), 2j * math.pi, out=x[:tile])
-        np.exp(pilot, out=pilot)
-        received = np.multiply(pilot, h, out=y[:tile])
+        sent = np.multiply(phase_rng.random(out=phase[:tile]), 2j * math.pi, out=x[:tile])
+        np.exp(sent, out=sent)
+        received = np.multiply(sent, h, out=y[:tile])
         received.real += w[:, :pilots]
         received.imag += w[:, pilots:]
-        received /= pilot
+        received /= sent
         np.mean(received.real, axis=1, out=estimates[start : start + tile])
     # Accumulate around the known center h: the raw sum of squares would
     # cancel catastrophically once the noise is much smaller than h.
