@@ -7,12 +7,7 @@ The optimizer walks the whole grid; this demo shows the terrain and the
 regimes where each mechanism wins.
 """
 
-import warnings
-
 from crpla import OptimizationGrid, SystemParams, evaluate, optimize
-from crpla.errors import NarrowMarginWarning
-
-warnings.simplefilter("ignore", NarrowMarginWarning)
 
 
 def params_at(db: float, ratio: float) -> SystemParams:

@@ -7,13 +7,8 @@ crossover story; the shipped configs under configs/ carry the full
 101-point versions for the command-line tool.
 """
 
-import warnings
-
-from crpla.errors import NarrowMarginWarning
 from crpla.params import params_from_config
 from crpla.sweep import SweepSpec, run_sweep
-
-warnings.simplefilter("ignore", NarrowMarginWarning)
 
 PARAMS = {
     "n": 10, "F": 100, "alpha": 0.1, "b_M": 600, "p_FA": 1e-7,

@@ -3,13 +3,22 @@ is worth.
 
 The verifier accepts a message when the standardized squared-residual
 statistic of the per-frame amplitude estimates stays below a threshold;
-geometrically, acceptance means the estimate vector falls inside a
-hypersphere around the expected amplitudes.  An attacker who can inject
-arbitrary estimates but does not know the per-frame configuration must
-land inside that sphere by guessing, and the admissible amplitude vectors
-fill 2^F congruent cubes (one per sign pattern) of edge h_max - h_min.
-The volume ratio gives the attack-success probability, and its negative
-log2 is the equivalent key length.
+geometrically, acceptance means the estimate vector falls inside a ball
+of radius r around the challenge amplitudes.  The challenge is uniform on
+the admissible set S, 2^F congruent cubes (one per sign pattern) of edge
+s = h_max - h_min, and the attacker injects one guess without knowing it.
+Any guess a succeeds with probability vol(B(a, r) & S) / vol(S) <=
+V_ball / V_S, the closed form here; its negative log2 is the equivalent
+key length b_ch.
+
+The bound is reached by the best single guess whenever the ball fits in
+S: for h_min > 0, r <= s/2 with the guess at the centre of a randomly
+signed cube (the centre is the best guess within a cube by Anderson's
+theorem, Proc. AMS 6, 1955); for h_min = 0, r <= h_max with the guess at
+the origin.  ``ChannelGeometry.radius_over_fit`` is r over that fit
+radius: at most 1, b_ch is exact against the best attacker; above 1 the
+ball pokes out of S, every attacker does worse than the closed form, and
+b_ch is a conservative (low) count of key bits.
 
 All volumes are handled in log2 to stay finite for F in the thousands.
 """
@@ -17,19 +26,11 @@ All volumes are handled in log2 to stay finite for F in the thousands.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InvalidPilotCount,
-    NarrowMarginWarning,
-)
+from .errors import DimensionMismatch, DomainError, InvalidPilotCount
 from .params import SystemParams
 from .specfun import chi_square_isf, log_gamma, q_inverse
 
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,11 @@ class ChannelGeometry:
 
     ``log2_p_succ`` is min(0, log2 V_sphere - log2 V_cubes); ``b_ch`` is
     its negation.  ``radius`` satisfies radius**2 =
-    (sqrt(2F) * tau + F) * sigma_h_sq.  The fields are floats for one
+    (sqrt(2F) * tau + F) * sigma_h_sq.  ``radius_over_fit`` is radius over
+    the largest radius at which the ball fits in the admissible set:
+    (h_max - h_min)/2 when h_min > 0, h_max when h_min = 0, and not finite
+    at h_min = h_max; up to 1, ``b_ch`` is exact against the best single
+    guess, and beyond it a lower bound.  The fields are floats for one
     setting and numpy arrays for a grid of them (see :func:`geometry`).
     """
 
@@ -62,6 +66,7 @@ class ChannelGeometry:
     log2_v_sphere: float
     log2_v_cube: float
     log2_p_succ: float
+    radius_over_fit: float
 
     @property
     def b_ch(self) -> float:
@@ -119,14 +124,6 @@ def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
 
 
-def _outside_stacklevel() -> int:
-    """Stacklevel of the innermost frame outside crpla: the caller's own line."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeometry:
     """Acceptance-region geometry at threshold ``tau`` for each pilot count
     and h_min.
@@ -142,7 +139,8 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
     """
     var = sigma_h_sq(params, pilot_count)
     F = params.F
-    span = params.h_max - np.asarray(h_min, dtype=float)
+    h_min = np.asarray(h_min, dtype=float)
+    span = params.h_max - h_min
     chi = math.sqrt(2.0 * F) * tau + F
     radius = (math.sqrt(chi) if chi > 0.0 else 0.0) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
@@ -152,14 +150,7 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
         log2_v_cube = F * (1.0 + np.log2(span))
         per_frame = np.log2(math.sqrt(math.pi) * radius / (2.0 * span))
         exponent = np.where(span > 0.0, np.minimum(0.0, F * per_frame - log2_gamma_term), 0.0)
-    if np.any((span > 0.0) & (radius > 0.1 * span)):
-        # Static message so repeated hits deduplicate to one line per run.
-        warnings.warn(
-            "sphere radius exceeds 10% of the amplitude span; the boundary-free "
-            "volume ratio is a coarse approximation in this regime",
-            NarrowMarginWarning,
-            stacklevel=_outside_stacklevel(),
-        )
+        radius_over_fit = radius / np.where(h_min > 0.0, 0.5 * span, params.h_max)
     return ChannelGeometry(
         tau=tau,
         sigma_h_sq=var,
@@ -167,6 +158,7 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
         log2_v_sphere=log2_v_sphere,
         log2_v_cube=log2_v_cube,
         log2_p_succ=exponent,
+        radius_over_fit=radius_over_fit,
     )
 
 

@@ -6,9 +6,8 @@ numbers), and ``optimize`` (grid search over pilots and h_min).
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 a simulate check FAILed its 3-sigma band.  The environment variable
-CRPLA_SEED provides the default seed.  A NarrowMarginWarning is printed to
-stderr as one ``warning: <message>`` line, once per distinct message, and
-so is each WARN verdict of ``simulate``.
+CRPLA_SEED provides the default seed.  Each WARN verdict of ``simulate``
+is printed to stderr as one ``warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ import json
 import math
 import os
 import sys
-import warnings
 from typing import Sequence
 
 from . import channel, hybrid, montecarlo, sweep
-from .errors import ConfigParseError, CrplaError, NarrowMarginWarning, NumericError, ValidationError
+from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
 
@@ -95,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--trials", type=int, default=1_000_000, help="trials per check")
     p_sim.add_argument("--seed", type=int, default=None, help="base seed (default: CRPLA_SEED or 0)")
-    p_sim.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker processes")
+    p_sim.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker threads")
 
     p_opt = sub.add_parser("optimize", help="grid search over pilot count and h_min")
     add_common(p_opt)
@@ -273,27 +271,8 @@ COMMANDS = {
 }
 
 
-def _one_line_warnings(default_format):
-    """A ``warnings.formatwarning`` that renders a NarrowMarginWarning as one
-    ``warning: <message>`` line and a repeat of its message as nothing."""
-    seen: set[str] = set()
-
-    def format_warning(message, category, filename, lineno, line=None):
-        if not issubclass(category, NarrowMarginWarning):
-            return default_format(message, category, filename, lineno, line)
-        text = str(message)
-        if text in seen:
-            return ""
-        seen.add(text)
-        return f"warning: {text}\n"
-
-    return format_warning
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    default_format = warnings.formatwarning
-    warnings.formatwarning = _one_line_warnings(default_format)
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
@@ -306,8 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CrplaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    finally:
-        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -48,7 +48,3 @@ class ConvergenceError(NumericError):
 
 class DimensionMismatch(NumericError):
     """Vector arguments that must share a length do not."""
-
-
-class NarrowMarginWarning(UserWarning):
-    """Sphere radius is not small next to the admissible amplitude range."""

@@ -101,11 +101,11 @@ def _tile_buffer(rows: int, cols: int) -> np.ndarray:
 def _map_blocks(fn: Callable, tasks: Sequence[tuple], jobs: int) -> Iterable:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    # imported here: it pulls in multiprocessing, which no serial run needs
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: concurrent.futures imports logging, which no serial run needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:

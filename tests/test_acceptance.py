@@ -9,13 +9,11 @@ block streams are platform-stable.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from crpla import channel, cli, hybrid, montecarlo
-from crpla.errors import NarrowMarginWarning
 from crpla.params import SystemParams
 from crpla.specfun import chi_square_sf, log_gamma, q_function, q_inverse
 from quadrature_oracle import uniform_expectation
@@ -40,13 +38,6 @@ def fig_params(db: float, ratio: float, **overrides) -> SystemParams:
     )
     base.update(overrides)
     return SystemParams(**base)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_margin_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NarrowMarginWarning)
-        yield
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

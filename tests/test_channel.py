@@ -1,5 +1,6 @@
 """Channel-check geometry tests: thresholds, statistic, volumes, key bits."""
 
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpla import channel
+from crpla import channel, cli
 from crpla.channel import (
     equivalent_key_bits,
     sigma_h_sq,
     threshold_from_pfa,
 )
-from crpla.errors import DimensionMismatch, DomainError, InvalidPilotCount, NarrowMarginWarning
+from crpla.errors import DimensionMismatch, DomainError, InvalidPilotCount
+from crpla.montecarlo import wilson_interval
 from crpla.params import SystemParams
 from crpla.specfun import chi_square_sf, log_gamma
 
@@ -127,8 +129,7 @@ def log2_success(params, tau):
 class TestLog2PSucc:
     def test_clamped_when_sphere_dominates(self):
         params = make(lambda_B=1e-6, pilot_count=1)  # enormous estimator noise
-        with pytest.warns(NarrowMarginWarning):
-            assert log2_success(params, threshold_from_pfa(0.05, params.F)) == 0.0
+        assert log2_success(params, threshold_from_pfa(0.05, params.F)) == 0.0
 
     def test_f2_hand_value(self):
         # radius^2 = 2 sigma^2 at tau=0; V_s/V_c = pi*2e-4/4 for sigma=0.01, span=1
@@ -209,10 +210,6 @@ class TestEquivalentKeyBits:
         assert narrow > 0.0
         assert wide - narrow == pytest.approx(100.0 * math.log2(scale), rel=1e-9)
 
-    def test_warning_when_radius_not_small(self):
-        with pytest.warns(NarrowMarginWarning):
-            equivalent_key_bits(make(lambda_B=1e2), 1e-7)
-
     def test_requires_pilots(self):
         with pytest.raises(InvalidPilotCount):
             equivalent_key_bits(make(pilot_count=0), 1e-7)
@@ -223,3 +220,122 @@ class TestEquivalentKeyBits:
         assert exact.tau == pytest.approx(threshold_from_pfa(0.05, 100, exact=True), rel=1e-12)
         assert exact.tau > asymptotic.tau
         assert exact.b_ch < asymptotic.b_ch
+
+
+def fit_params(F, h_min, radius_over_fit):
+    """One-pilot parameters, h_max = 1, whose ball at tau = 0 has the given
+    radius over the fit radius: (1 - h_min)/2 for h_min > 0, 1 for h_min = 0."""
+    fit = 0.5 * (1.0 - h_min) if h_min > 0.0 else 1.0
+    lambda_B = F / (radius_over_fit * fit) ** 2  # radius**2 = F / lambda_B at tau = 0
+    return make(F=F, pilot_count=1, lambda_B=lambda_B, h_min=h_min, h_max=1.0)
+
+
+def centre_guess_successes(params, radius, trials, rng):
+    """Successes of the attacker who guesses the centre of a randomly signed
+    cube, or the origin when h_min = 0, against uniform challenges on S."""
+    F, h_min, span = params.F, params.h_min, params.h_max - params.h_min
+    centre = h_min + 0.5 * span if h_min > 0.0 else 0.0
+    successes = 0
+    for start in range(0, trials, 1 << 16):
+        rows = min(1 << 16, trials - start)
+        v = rng.uniform(-1.0, 1.0, (rows, F))
+        d = np.copysign(h_min + np.abs(v) * span, v)  # the challenge h
+        d -= np.copysign(centre, rng.uniform(-1.0, 1.0, (rows, F)))  # minus the guess
+        successes += int(np.count_nonzero(np.einsum("ij,ij->i", d, d) <= radius * radius))
+    return successes
+
+
+class TestFitRadius:
+    """b_ch is the best single guess's success inside the fit radius and a
+    lower bound on security beyond it (Anderson, Proc. AMS 6, 1955)."""
+
+    # 100 expected successes cost at most 2e6 trials at this floor
+    MIN_P_SUCC = 5e-5
+
+    def test_value_with_floor(self):
+        # tau = 0 at F = 2: radius**2 = 2 sigma_h^2 = 2e-4, fit radius (1 - 0.5)/2
+        geo = channel.geometry(make(F=2, lambda_B=1e4, pilot_count=1), 0.0, 1, 0.5)
+        assert geo.radius_over_fit == pytest.approx(math.sqrt(2e-4) / 0.25, rel=1e-14)
+
+    def test_value_without_floor(self):
+        geo = channel.geometry(make(F=2, lambda_B=1e4, pilot_count=1, h_max=2.0), 0.0, 1, 0.0)
+        assert geo.radius_over_fit == pytest.approx(math.sqrt(2e-4) / 2.0, rel=1e-14)
+
+    def test_grid_matches_points(self):
+        params = make(lambda_B=1e5)
+        pilots, h_values = np.array([[1], [4]]), np.array([0.0, 0.5, 0.9, 1.0])
+        grid = channel.geometry(params, 1.5, pilots, h_values).radius_over_fit
+        for (i, j), value in np.ndenumerate(grid):
+            point = channel.geometry(params, 1.5, int(pilots[i, 0]), h_values[j])
+            assert value == point.radius_over_fit
+        assert np.isinf(grid[:, -1]).all()
+
+    def test_null_in_analyze_json_without_span(self, tmp_path):
+        config = {
+            "n": 10,
+            "F": 100,
+            "alpha": 0.1,
+            "b_M": 600,
+            "p_FA": 1e-7,
+            "lambda_B_dB": 50,
+            "lambda_T_over_lambda_B": 0.3,
+            "h_min": 1.0,
+            "h_max": 1.0,
+        }
+        path, out = tmp_path / "p.json", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["analyze", "--config", str(path), "--quiet", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["channel_geometry"]["radius_over_fit"] is None
+
+    @pytest.mark.parametrize("h_min", [0.0, 0.5])
+    @pytest.mark.parametrize("F", [1, 2, 3, 8])
+    def test_ball_fits_in_cube_up_to_fit_radius(self, F, h_min):
+        rng = np.random.default_rng(F)
+        direction = rng.standard_normal((100_000, F))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        unit_ball = direction * rng.random((100_000, 1)) ** (1.0 / F)
+        centre = 0.5 * (1.0 + h_min) if h_min > 0.0 else 0.0
+        low = h_min if h_min > 0.0 else -1.0
+        outside = {}
+        for target in (0.5, 1.0, 1.1):
+            geo = equivalent_key_bits(fit_params(F, h_min, target), 0.5)
+            assert geo.radius_over_fit == pytest.approx(target, rel=1e-12)
+            points = centre + geo.radius * unit_ball
+            inside = np.all((points >= low) & (points <= 1.0), axis=1)
+            outside[target] = int(np.count_nonzero(~inside))
+        assert outside[0.5] == outside[1.0] == 0
+        assert outside[1.1] > 0
+
+    def centre_guess_interval(self, F, h_min, radius_over_fit):
+        """The bound and the centre-guess attacker's Wilson 3-sigma interval,
+        with the radius raised where needed to resolve 100 successes."""
+        params = fit_params(F, h_min, radius_over_fit)
+        p_succ = 2.0 ** equivalent_key_bits(params, 0.5).log2_p_succ
+        if p_succ < self.MIN_P_SUCC:  # the bound scales as radius**F here
+            radius_over_fit *= (self.MIN_P_SUCC / p_succ) ** (1.0 / F)
+            params = fit_params(F, h_min, radius_over_fit)
+        geo = equivalent_key_bits(params, 0.5)
+        p_succ = 2.0**geo.log2_p_succ
+        trials = math.ceil(100.0 / p_succ)
+        successes = centre_guess_successes(params, geo.radius, trials, np.random.default_rng(F))
+        return p_succ, wilson_interval(successes, trials)
+
+    @given(
+        F=st.integers(1, 8),
+        h_min=st.one_of(st.just(0.0), st.floats(0.05, 0.95)),
+        radius_over_fit=st.floats(0.2, 1.0),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_centre_guess_reaches_the_bound_inside(self, F, h_min, radius_over_fit):
+        p_succ, (low, high) = self.centre_guess_interval(F, h_min, radius_over_fit)
+        assert low <= p_succ <= high
+
+    @given(
+        F=st.integers(1, 8),
+        h_min=st.one_of(st.just(0.0), st.floats(0.05, 0.95)),
+        radius_over_fit=st.floats(1.0, 2.0, exclude_min=True),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_centre_guess_stays_below_the_bound_beyond(self, F, h_min, radius_over_fit):
+        p_succ, (low, _) = self.centre_guess_interval(F, h_min, radius_over_fit)
+        assert low <= p_succ

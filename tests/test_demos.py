@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current library API."""
+"""Every demo script runs to completion against the current library API,
+without a line on standard error."""
 
 import os
 import subprocess
@@ -18,3 +19,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -8,13 +8,11 @@ bytes changes the program's output and must say so.
 """
 
 import hashlib
-import warnings
 from pathlib import Path
 
 import pytest
 
 from crpla import cli
-from crpla.errors import NarrowMarginWarning
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,18 +29,11 @@ ANALYZE_STDOUT = {
     "validate_small_f.json": "0ca9985065b99e45541198aa7639a1f58b2f9c5787c742e00ea23644d1bfb2d0",
 }
 ANALYZE_JSON = {
-    ("point_high_snr.json", False): "556ae1f1f84fdd2658518083ec0a234257d3ca545beb8d2d7ff6ef56e5cfcf41",
-    ("point_high_snr.json", True): "2ace46bf7e451801c1e6d5ad5c176ca9baa33a4b356d1fbae50e18157a9ecb27",
+    ("point_high_snr.json", False): "e44d7f0826fc92af728a0fbd7bbb7922fbd7df4953f06f1976a2c059501b0142",
+    ("point_high_snr.json", True): "785d5366e6128d24942e09c8468a0e8befc0be8649dca84dc26b4492b9a3bbbf",
     ("validate_small_f.json", False): "50d9773f2bb9df45b329df61ef9d02478a26e384e65d37057ed45484c3cae13d",
     ("validate_small_f.json", True): "ef0db35a30f68b74cd253cc08e53defb2f801849ba1a03cff7ff17e15ac9c489",
 }
-
-
-@pytest.fixture(autouse=True)
-def _quiet_margin_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NarrowMarginWarning)
-        yield
 
 
 def sha256(data: bytes) -> str:

@@ -1,7 +1,6 @@
 """Hybrid combiner, baselines, and grid-search optimizer tests."""
 
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpla import channel, coding
-from crpla.errors import InvalidPilotCount, InvalidRange, NarrowMarginWarning
+from crpla.errors import InvalidPilotCount, InvalidRange
 from crpla.hybrid import OptimizationGrid, evaluate, evaluate_grid, optimize
 from crpla.params import SecurityReport, SystemParams
 from crpla.specfun import q_inverse
@@ -33,13 +32,6 @@ def make(**overrides):
     )
     base.update(overrides)
     return SystemParams(**base)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_margin_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NarrowMarginWarning)
-        yield
 
 
 class TestHybridBits:

@@ -314,7 +314,8 @@ def _peak_bytes(kernel, task):
 
 
 class TestBoundedMemory:
-    """One block's peak allocation is set by the tile budget, not by F.
+    """One block's peak allocation is set by the tile budget, not by F, and
+    a run's by the tiles of its worker threads.
 
     Untiled, 2048 rows of the attack at F=1000 would hold 64 MiB, and of
     the pilot estimation at 1000 pilots about 110 MiB.  A quarter tile of
@@ -335,3 +336,14 @@ class TestBoundedMemory:
     def test_pilot_block(self, pilots):
         peak = _peak_bytes(montecarlo._pilot_block, (1, 0, 2048, 1.0, 0.1, pilots))
         assert peak < 3.75 * montecarlo.TILE_BYTES  # noise, phases and two complex tiles
+
+    def test_two_worker_threads(self, monkeypatch):
+        # Four short blocks keep both threads busy, and the run holds at most
+        # two blocks' draws and amplitudes at once.  The pool's module is
+        # imported first: its one-time import is no part of a run's working set.
+        import concurrent.futures  # noqa: F401
+
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 2048)
+        params = make(F=1000, h_min=0.0, pilot_count=1)
+        peak = _peak_bytes(lambda jobs: measure_attack_success(params, 1.6, 4 * 2048, 1, jobs), 2)
+        assert peak < 2 * 2.25 * montecarlo.TILE_BYTES
