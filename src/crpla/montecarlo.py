@@ -20,8 +20,10 @@ bit-identical no matter how many workers participate.
 
 Draw order inside a block (one row per trial, rows in trial order):
 
-* false alarm: F standard normals, the scaled residuals (h_hat - h)/sigma
-  themselves; the challenge h cancels from the statistic and is not drawn;
+* false alarm: one chi-square variate with F degrees of freedom,
+  ``Generator.chisquare(F)``, the energy of the F scaled residuals
+  (h_hat - h)/sigma; neither the residuals nor the challenge h, which
+  cancels from the statistic, are drawn;
 * attack: 2F uniforms, the challenge h in the first F columns and the
   guess a in the last F; each signed amplitude comes from one uniform u
   as copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1;
@@ -29,23 +31,37 @@ Draw order inside a block (one row per trial, rows in trial order):
   from child stream 0, and 2 * pilot_count standard normals, the real
   then the imaginary noise parts, from child stream 1.
 
-Every kernel walks its block in row tiles of at most ``TILE_BYTES`` of
-draws.  A tile takes the next rows of each stream, so the tiles
-concatenate to the whole-block draw and every count, and every per-row
-pilot estimate, is independent of the tile size; memory per worker
-stays bounded as F and pilot_count grow.  This is version 3 of the
-reproducibility contract.  Version 2 drew every block from
-``Philox(key=seed).jumped(b)`` and the pilot block as whole
-(rows, pilot_count) arrays from that one stream, in the order phases,
-real noise, imaginary noise; version 1 also drew h for false alarms and
-one uniform plus one integer sign per attack amplitude.
+The attack and pilot kernels walk their block in row tiles of at most
+``TILE_BYTES`` of draws.  A tile takes the next rows of each stream, so
+the tiles concatenate to the whole-block draw and every count, and every
+per-row pilot estimate, is independent of the tile size; memory per
+worker stays bounded as F and pilot_count grow.  The attack transforms
+the first ``HEAD_COLUMNS`` amplitudes of h and of a before the rest and
+drops a row whose partial distance already exceeds
+radius^2 * (1 + 4 F eps); it stops doing so for the rest of a block once
+a tile keeps most of its rows.  Rounding moves a sum of at most F
+squares by less than F eps relative, so a dropped row's whole distance
+exceeds radius^2 as well, and the count is the one whole rows give.
+
+This is version 4 of the reproducibility contract.  Version 3 drew the
+F residuals of a false-alarm row as standard normals and summed their
+squares: O(F) work per trial for a value numpy's gamma sampler
+(Marsaglia and Tsang, ACM TOMS 26, 2000) draws in O(1), since
+chi-square(F) is 2 Gamma(F/2).  Only the false-alarm counts moved; the
+attack and pilot streams are those of version 3.  The gamma sampler
+calls the platform's ``log``, so a false-alarm count, like a pilot
+moment through ``exp``, can differ where libm rounds differently.
+Version 2 drew every block from ``Philox(key=seed).jumped(b)`` and the
+pilot block as whole (rows, pilot_count) arrays from that one stream, in
+the order phases, real noise, imaginary noise; version 1 also drew h for
+false alarms and one uniform plus one integer sign per attack amplitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -63,11 +79,18 @@ __all__ = [
     "wilson_interval",
 ]
 
+_T = TypeVar("_T")
+
 BLOCK_TRIALS = 1 << 14
-# Draws held at once per block; the attack's amplitudes add as much again,
-# so a tile's working set stays within a 2 MiB per-core L2 cache.  The
-# pilot kernel's phases and complex symbols add 2.5 tiles.
+# Draws held at once per block by the attack and pilot kernels; the
+# attack's amplitudes add as much again, so its working set stays within a
+# 2 MiB per-core L2 cache.  The pilot kernel's phases and complex symbols
+# add 2.5 tiles.  The false-alarm kernel draws one value per row and walks
+# no tiles.
 TILE_BYTES = 1 << 20
+# Columns of h and of a the attack transforms first; a row whose head is
+# already outside the radius is never transformed whole.
+HEAD_COLUMNS = 8
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
 _SEED_MASK = (1 << 64) - 1
@@ -98,14 +121,16 @@ def _tile_buffer(rows: int, cols: int) -> np.ndarray:
     return np.empty((min(rows, max(1, TILE_BYTES // (8 * cols))), cols))
 
 
-def _map_blocks(fn: Callable, tasks: Sequence[tuple], jobs: int) -> Iterable:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+def _map_blocks(block_fn: Callable[[int, int], _T], trials: int, jobs: int) -> list[_T]:
+    """``block_fn(block, rows)`` for every block of ``trials``, in block order."""
+    blocks = _blocks(trials)
+    if jobs <= 1 or len(blocks) <= 1:
+        return [block_fn(block, rows) for block, rows in blocks]
     # imported here: concurrent.futures imports logging, which no serial run needs
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(block_fn, *zip(*blocks)))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -181,8 +206,9 @@ def _signed_amplitudes(
 # --- pilot estimation -------------------------------------------------------
 
 
-def _pilot_block(task: tuple) -> tuple[float, float]:
-    seed, block, rows, h, sigma_b, pilots = task
+def _pilot_block(
+    seed: int, block: int, rows: int, h: float, sigma_b: float, pilots: int
+) -> tuple[float, float]:
     phase_rng = _block_rng(seed, block, 0)
     noise_rng = _block_rng(seed, block, 1)
     noise = _tile_buffer(rows, 2 * pilots)  # real | imaginary parts
@@ -229,10 +255,11 @@ def simulate_pilot_estimation(
     if pilot_count < 1:
         raise ValueError("pilot_count must be >= 1")
     sigma_b = 1.0 / math.sqrt(lambda_b)
-    tasks = [
-        (seed, block, rows, float(h), sigma_b, pilot_count) for block, rows in _blocks(trials)
-    ]
-    partial = _map_blocks(_pilot_block, tasks, jobs)
+    partial = _map_blocks(
+        lambda block, rows: _pilot_block(seed, block, rows, float(h), sigma_b, pilot_count),
+        trials,
+        jobs,
+    )
     total = 0.0
     total_sq = 0.0
     for s, s2 in partial:  # fixed block order keeps the reduction bit-stable
@@ -248,16 +275,10 @@ def simulate_pilot_estimation(
 # --- false alarms on legitimate traffic -------------------------------------
 
 
-def _false_alarm_block(task: tuple) -> int:
-    seed, block, rows, F, tau = task
-    rng = _block_rng(seed, block)
-    buffer = _tile_buffer(rows, F)
-    rejections = 0
-    for start in range(0, rows, len(buffer)):
-        residual = rng.standard_normal(out=buffer[: rows - start])
-        stat = (np.einsum("ij,ij->i", residual, residual) - F) / math.sqrt(2.0 * F)
-        rejections += int(np.count_nonzero(stat > tau))
-    return rejections
+def _false_alarm_block(seed: int, block: int, rows: int, F: int, tau: float) -> int:
+    energy = _block_rng(seed, block).chisquare(F, size=rows)  # sum of F squared residuals
+    stat = (energy - F) / math.sqrt(2.0 * F)
+    return int(np.count_nonzero(stat > tau))
 
 
 def measure_false_alarm(
@@ -265,30 +286,58 @@ def measure_false_alarm(
 ) -> TrialBatch:
     """Rejection rate of legitimate traffic at threshold ``tau``.
 
-    Per trial: draw the F scaled estimation residuals (h_hat - h)/sigma,
-    which are standard normal whatever the challenge, and count statistics
-    exceeding the threshold.  The estimate converges to the exact
-    chi-square tail, not to the asymptotic normal one.
+    The F scaled estimation residuals (h_hat - h)/sigma are standard
+    normal whatever the challenge, so the statistic's energy, the sum of
+    their squares, is chi-square with F degrees of freedom; each trial
+    draws that energy in one step and counts statistics exceeding the
+    threshold.  The estimate converges to the exact chi-square tail, not
+    to the asymptotic normal one.
     """
-    tasks = [(seed, block, rows, params.F, tau) for block, rows in _blocks(trials)]
-    rejections = sum(_map_blocks(_false_alarm_block, tasks, jobs))
+    rejections = sum(
+        _map_blocks(
+            lambda block, rows: _false_alarm_block(seed, block, rows, params.F, tau), trials, jobs
+        )
+    )
     return TrialBatch.from_counts(trials, rejections, seed)
 
 
 # --- geometric attack success ------------------------------------------------
 
 
-def _attack_block(task: tuple) -> int:
-    seed, block, rows, F, h_min, h_max, radius_sq = task
+def _attack_block(
+    seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
+) -> int:
     rng = _block_rng(seed, block)
     draws = _tile_buffer(rows, 2 * F)
     amplitudes = np.empty_like(draws)
+    # The head sum and the full sum add squares of the same differences d_k,
+    # and rounding moves a sum of at most F squares by less than F*eps
+    # relative, in any order.  A head sum above this bound therefore puts
+    # the row's full sum above radius_sq: the row fails, as it does whole.
+    head_bound = radius_sq * (1.0 + 4.0 * F * np.finfo(float).eps)
+    k = HEAD_COLUMNS if F > HEAD_COLUMNS else 0
+    head = np.empty((len(draws), 2, k))  # the first k uniforms of h and of a
     successes = 0
     for start in range(0, rows, len(draws)):
-        rest = rows - start
-        row = _signed_amplitudes(  # challenge h | guess a
-            rng.random(out=draws[:rest]), h_min, h_max, out=amplitudes[:rest]
-        )
+        u = rng.random(out=draws[: rows - start])
+        out = amplitudes[: len(u)]
+        if k:
+            n = len(u)
+            np.copyto(head[:n], u.reshape(n, 2, F)[:, :, :k])
+            # The amplitude buffer is free until the gather below.
+            part = out.reshape(-1)[: 2 * k * n].reshape(n, 2 * k)
+            part = _signed_amplitudes(head[:n].reshape(n, 2 * k), h_min, h_max, out=part)
+            d = np.subtract(part[:, k:], part[:, :k], out=part[:, k:])
+            keep = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= head_bound)
+            if 2 * len(keep) > n:
+                k = 0  # a head that keeps most rows costs more than it saves
+            if len(keep) < n:
+                # Gather the surviving rows into the amplitude buffer; their
+                # amplitudes then go to the draws they came from.  mode="clip"
+                # lets take write to ``out`` without a temporary copy.
+                u = np.take(u, keep, axis=0, out=amplitudes[: len(keep)], mode="clip")
+                out = draws[: len(keep)]
+        row = _signed_amplitudes(u, h_min, h_max, out=out)  # challenge h | guess a
         d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
         successes += int(np.count_nonzero(np.einsum("ij,ij->i", d, d) <= radius_sq))
     return successes
@@ -307,9 +356,13 @@ def measure_attack_success(
     var = channel.sigma_h_sq(params)
     chi = math.sqrt(2.0 * params.F) * tau + params.F
     radius_sq = max(chi, 0.0) * var
-    tasks = [
-        (seed, block, rows, params.F, params.h_min, params.h_max, radius_sq)
-        for block, rows in _blocks(trials)
-    ]
-    successes = sum(_map_blocks(_attack_block, tasks, jobs))
+    successes = sum(
+        _map_blocks(
+            lambda block, rows: _attack_block(
+                seed, block, rows, params.F, params.h_min, params.h_max, radius_sq
+            ),
+            trials,
+            jobs,
+        )
+    )
     return TrialBatch.from_counts(trials, successes, seed)

@@ -22,7 +22,7 @@ from crpla.montecarlo import (
     wilson_interval,
 )
 from crpla.params import SystemParams
-from crpla.specfun import chi_square_sf
+from crpla.specfun import chi_square_isf, chi_square_sf
 
 
 def make(**overrides):
@@ -171,6 +171,30 @@ class TestFalseAlarm:
         assert spread == pinned
 
 
+class TestChiSquareLaw:
+    """The false-alarm kernel draws the residual energy as one chi-square
+    variate; the sum of F squared standard normals it stands for must
+    follow the same law at the same thresholds."""
+
+    TRIALS = 50_000
+    ROWS = 20_000  # of F normals each, summed in the test
+    TAILS = (0.5, 0.1, 0.01)
+
+    @pytest.mark.parametrize("F", [1, 2, 3, 100])
+    def test_kernel_and_squared_normals_follow_the_law(self, F):
+        rng = np.random.Generator(np.random.SFC64(31))
+        residual = rng.standard_normal((self.ROWS, F))
+        energy = np.einsum("ij,ij->i", residual, residual)
+        for tail in self.TAILS:
+            x = chi_square_isf(tail, F)
+            exact = chi_square_sf(x, F)
+            tau = (x - F) / math.sqrt(2.0 * F)
+            kernel = measure_false_alarm(make(F=F), tau, self.TRIALS, seed=32)
+            squares = TrialBatch.from_counts(self.ROWS, int(np.count_nonzero(energy > x)), 31)
+            assert kernel.contains(exact), (tail, kernel)
+            assert squares.contains(exact), (tail, squares)
+
+
 class TestAttackSuccess:
     def test_sphere_engulfs_support(self):
         params = make(F=2, lambda_B=1e-3, pilot_count=1)  # radius >> span
@@ -208,6 +232,66 @@ class TestAttackSuccess:
         assert batch.successes == 0
 
 
+def _v3_attack_distances(seed, rows, F, h_min, h_max):
+    """Squared distances of one block's rows as version 3 computed them: the
+    whole row transformed and summed, with no head rejection."""
+    row = montecarlo._signed_amplitudes(
+        montecarlo._block_rng(seed, 0).random((rows, 2 * F)), h_min, h_max
+    )
+    d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
+    return np.einsum("ij,ij->i", d, d), d
+
+
+class TestHeadRejection:
+    """The attack kernel rejects a row from its first HEAD_COLUMNS distances;
+    its counts must equal the whole-row count of version 3 at every radius."""
+
+    ROWS = {1000: 500}  # rows per block; 2000 at every other F
+
+    @pytest.mark.parametrize("tile_bytes", [None, 7 * 8 * 2000], ids=["tiles", "small_tiles"])
+    @pytest.mark.parametrize("h_min", [0.0, 0.5])
+    @pytest.mark.parametrize("F", [1, 2, 3, 8, 9, 100, 1000])
+    def test_counts_equal_whole_row_reference(self, monkeypatch, F, h_min, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+        k = montecarlo.HEAD_COLUMNS
+        rows = self.ROWS.get(F, 2000)
+        dist, d = _v3_attack_distances(41, rows, F, h_min, 1.0)
+        head = np.einsum("ij,ij->i", d[:, :k], d[:, :k])  # the whole row when F <= k
+        boundary = float(dist.min())
+        radii = {
+            "all_pruned": 0.5 * float(head.min()),
+            "some_pruned": float(np.quantile(head, 0.3)),
+            "none_pruned": max(float(head.max()), float(np.median(dist))),
+            "boundary": boundary,
+            "below_boundary": math.nextafter(boundary, 0.0),
+        }
+        if F > k:  # the radii reach the regimes they are named for
+            assert np.all(head > radii["all_pruned"])
+            assert 0 < np.count_nonzero(head > radii["some_pruned"]) < rows
+            assert not np.any(head > radii["none_pruned"])
+        for name, radius_sq in radii.items():
+            expected = int(np.count_nonzero(dist <= radius_sq))
+            got = montecarlo._attack_block(41, 0, rows, F, h_min, 1.0, radius_sq)
+            assert got == expected, (name, radius_sq)
+        # the boundary row counts at <= and not below it
+        assert np.count_nonzero(dist <= boundary) > np.count_nonzero(dist <= radii["below_boundary"])
+
+    @pytest.mark.parametrize("F", [9, 10])
+    def test_rows_whose_distance_is_all_in_the_head(self, F):
+        # With |h_k| = |a_k| = 1 every d_k^2 is 0 or 4 and every sum is exact,
+        # so a row whose sign mismatches all fall in the head has a head sum
+        # equal to its distance; at a radius equal to both it must count.
+        k = montecarlo.HEAD_COLUMNS
+        dist, d = _v3_attack_distances(42, 2000, F, 1.0, 1.0)
+        head = np.einsum("ij,ij->i", d[:, :k], d[:, :k])
+        radii = [4.0 * m for m in range(1, k)]
+        assert all(np.any((head == dist) & (dist == r)) for r in radii)
+        for radius_sq in radii:
+            got = montecarlo._attack_block(42, 0, 2000, F, 1.0, 1.0, radius_sq)
+            assert got == np.count_nonzero(dist <= radius_sq), radius_sq
+
+
 # Two full blocks and a partial one.
 PIN_TRIALS = 2 * BLOCK_TRIALS + 1000
 
@@ -228,12 +312,12 @@ def _pinned_run(F, jobs=1):
 
 
 class TestStreamContract:
-    """(seed, trials) -> result, pinned for version 3 of the stream contract."""
+    """(seed, trials) -> result, pinned for version 4 of the stream contract."""
 
     # F -> ((false-alarm successes, estimate), (attack successes, estimate))
     GOLDEN = {
-        100: ((1950, 0.057746979388770436), (27738, 0.8214285714285714)),
-        1000: ((1768, 0.05235726131248519), (6185, 0.18316157308694622)),
+        100: ((1839, 0.05445984363894812), (27738, 0.8214285714285714)),
+        1000: ((1691, 0.050076995972518364), (6185, 0.18316157308694622)),
     }
     # The pilot run does not depend on F.
     PILOT_MOMENTS = (0.9999863526651794, 0.0009958132032588049)
@@ -304,10 +388,10 @@ class TestSeedingPoint:
         assert sorted(calls) == [(5, key) for key in streams]
 
 
-def _peak_bytes(kernel, task):
+def _peak_bytes(kernel, *args):
     tracemalloc.start()
     try:
-        kernel(task)
+        kernel(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,17 +408,17 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("F", [1000, 4000])
     def test_attack_block(self, F):
-        peak = _peak_bytes(montecarlo._attack_block, (1, 0, 2048, F, 0.0, 1.0, 0.6 * F))
+        peak = _peak_bytes(montecarlo._attack_block, 1, 0, 2048, F, 0.0, 1.0, 0.6 * F)
         assert peak < 2.25 * montecarlo.TILE_BYTES  # draws and amplitudes of one tile
 
     @pytest.mark.parametrize("F", [1000, 4000])
     def test_false_alarm_block(self, F):
-        peak = _peak_bytes(montecarlo._false_alarm_block, (1, 0, 2048, F, 1.6))
-        assert peak < 1.25 * montecarlo.TILE_BYTES  # the residuals of one tile
+        peak = _peak_bytes(montecarlo._false_alarm_block, 1, 0, 2048, F, 1.6)
+        assert peak < 1.25 * montecarlo.TILE_BYTES  # one chi-square value per row
 
     @pytest.mark.parametrize("pilots", [100, 1000])
     def test_pilot_block(self, pilots):
-        peak = _peak_bytes(montecarlo._pilot_block, (1, 0, 2048, 1.0, 0.1, pilots))
+        peak = _peak_bytes(montecarlo._pilot_block, 1, 0, 2048, 1.0, 0.1, pilots)
         assert peak < 3.75 * montecarlo.TILE_BYTES  # noise, phases and two complex tiles
 
     def test_two_worker_threads(self, monkeypatch):
@@ -345,5 +429,5 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 2048)
         params = make(F=1000, h_min=0.0, pilot_count=1)
-        peak = _peak_bytes(lambda jobs: measure_attack_success(params, 1.6, 4 * 2048, 1, jobs), 2)
+        peak = _peak_bytes(measure_attack_success, params, 1.6, 4 * 2048, 1, 2)
         assert peak < 2 * 2.25 * montecarlo.TILE_BYTES
