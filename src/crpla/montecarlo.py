@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -78,8 +78,6 @@ __all__ = [
     "measure_attack_success",
     "wilson_interval",
 ]
-
-_T = TypeVar("_T")
 
 BLOCK_TRIALS = 1 << 14
 # Draws held at once per block by the attack and pilot kernels; the
@@ -121,7 +119,7 @@ def _tile_buffer(rows: int, cols: int) -> np.ndarray:
     return np.empty((min(rows, max(1, TILE_BYTES // (8 * cols))), cols))
 
 
-def _map_blocks(block_fn: Callable[[int, int], _T], trials: int, jobs: int) -> list[_T]:
+def _map_blocks(block_fn: Callable[[int, int], object], trials: int, jobs: int) -> list:
     """``block_fn(block, rows)`` for every block of ``trials``, in block order."""
     blocks = _blocks(trials)
     if jobs <= 1 or len(blocks) <= 1:

@@ -275,7 +275,8 @@ class TestHeadRejection:
             got = montecarlo._attack_block(41, 0, rows, F, h_min, 1.0, radius_sq)
             assert got == expected, (name, radius_sq)
         # the boundary row counts at <= and not below it
-        assert np.count_nonzero(dist <= boundary) > np.count_nonzero(dist <= radii["below_boundary"])
+        below = radii["below_boundary"]
+        assert np.count_nonzero(dist <= boundary) > np.count_nonzero(dist <= below)
 
     @pytest.mark.parametrize("F", [9, 10])
     def test_rows_whose_distance_is_all_in_the_head(self, F):
