@@ -49,8 +49,9 @@ squares: O(F) work per trial for a value numpy's gamma sampler
 (Marsaglia and Tsang, ACM TOMS 26, 2000) draws in O(1), since
 chi-square(F) is 2 Gamma(F/2).  Only the false-alarm counts moved; the
 attack and pilot streams are those of version 3.  The gamma sampler
-calls the platform's ``log``, so a false-alarm count, like a pilot
-moment through ``exp``, can differ where libm rounds differently.
+calls the platform's ``log`` (and ``pow`` at F = 1), so a false-alarm
+count, like a pilot moment through ``exp``, can differ where libm rounds
+differently.
 Version 2 drew every block from ``Philox(key=seed).jumped(b)`` and the
 pilot block as whole (rows, pilot_count) arrays from that one stream, in
 the order phases, real noise, imaginary noise; version 1 also drew h for
