@@ -120,8 +120,20 @@ def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
     return _budget(params, i_xy, dispersion, rate, n_total)
 
 
-# Var[I] quadrature: Gauss-Legendre nodes and weights on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Var[I] quadrature: the 12 Gauss-Legendre nodes and weights on [-1, 1], the
+# repr of numpy.polynomial.legendre.leggauss(12) (tests check the bits).  As
+# literals they spare every process numpy.polynomial's import and its
+# LAPACK eigensolve.
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 
 
 def _amplitude_moments(h_min, h_max: float, lambda_b: float):
