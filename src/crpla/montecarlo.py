@@ -12,11 +12,12 @@ Trials are partitioned into fixed blocks of ``BLOCK_TRIALS`` = 2**14.
 Block ``b`` of run ``seed`` draws from the SFC64 generator seeded by
 ``SeedSequence(seed mod 2**64, spawn_key=(b,))``, numpy's way to make
 independent parallel streams; the pilot kernel uses the two child streams
-``spawn_key=(b, 0)`` and ``(b, 1)``.  ``_block_rng`` is the only place a
-generator is made.  The draw order inside a block is fixed, so every
-trial's outcome is a pure function of (seed, trials); per-block partial
-results are reduced in block order, so counts, means, and variances are
-bit-identical no matter how many workers participate.
+``spawn_key=(b, 0)`` and ``(b, 1)``, and the attack kernel the child
+stream ``(b, 1)``.  ``_block_rng`` is the only place a generator is made.
+The draw order inside a block is fixed, so every trial's outcome is a
+pure function of (seed, trials); per-block partial results are reduced
+in block order, so counts, means, and variances are bit-identical no
+matter how many workers participate.
 
 Draw order inside a block (one row per trial, rows in trial order):
 
@@ -24,9 +25,16 @@ Draw order inside a block (one row per trial, rows in trial order):
   ``Generator.chisquare(F)``, the energy of the F scaled residuals
   (h_hat - h)/sigma; neither the residuals nor the challenge h, which
   cancels from the statistic, are drawn;
-* attack: 2F uniforms, the challenge h in the first F columns and the
-  guess a in the last F; each signed amplitude comes from one uniform u
-  as copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1;
+* attack: a head of k = min(F, ``HEAD_COLUMNS``) coordinates of the
+  challenge h and then k of the guess a, 2k uniforms from the block's
+  stream.  Only a row whose head distance is within the radius draws its
+  tail, the other 2(F - k) uniforms (h then a), from child stream 1, in
+  the order of those rows; the stream is made when a block first needs
+  it.  Each signed amplitude comes from one uniform u as
+  copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1.  A row
+  succeeds when head + tail, rounded once, is within the radius.  The
+  tail adds squares and rounding is monotone, so a head beyond the radius
+  decides the row exactly;
 * pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
   from child stream 0, and 2 * pilot_count standard normals, the real
   then the imaginary noise parts, from child stream 1.
@@ -35,22 +43,20 @@ The attack and pilot kernels walk their block in row tiles of at most
 ``TILE_BYTES`` of draws.  A tile takes the next rows of each stream, so
 the tiles concatenate to the whole-block draw and every count, and every
 per-row pilot estimate, is independent of the tile size; memory per
-worker stays bounded as F and pilot_count grow.  The attack transforms
-the first ``HEAD_COLUMNS`` amplitudes of h and of a before the rest and
-drops a row whose partial distance already exceeds
-radius^2 * (1 + 4 F eps); it stops doing so for the rest of a block once
-a tile keeps most of its rows.  Rounding moves a sum of at most F
-squares by less than F eps relative, so a dropped row's whole distance
-exceeds radius^2 as well, and the count is the one whole rows give.
+worker stays bounded as F and pilot_count grow.
 
-This is version 4 of the reproducibility contract.  Version 3 drew the
-F residuals of a false-alarm row as standard normals and summed their
-squares: O(F) work per trial for a value numpy's gamma sampler
-(Marsaglia and Tsang, ACM TOMS 26, 2000) draws in O(1), since
-chi-square(F) is 2 Gamma(F/2).  Only the false-alarm counts moved; the
-attack and pilot streams are those of version 3.  The gamma sampler
-calls the platform's ``log`` (and ``pow`` at F = 1), so a false-alarm
-count, like a pilot moment through ``exp``, can differ where libm rounds
+This is version 5 of the reproducibility contract.  Version 4 drew all
+2F uniforms of an attack row from the block's stream and transformed the
+head first, dropping a row whose head sum exceeded radius^2 (1 + 4 F eps);
+at the paper's operating points the head decides every row, so drawing
+the tail was most of the kernel's time.  Only the attack counts at
+F > ``HEAD_COLUMNS`` moved; at smaller F a row is all head and its count
+is the one of version 4.  Version 4 in turn drew a false-alarm energy
+as one chi-square variate where version 3 summed F squared normals:
+numpy's gamma sampler (Marsaglia and Tsang, ACM TOMS 26, 2000) draws
+chi-square(F) = 2 Gamma(F/2) in O(1).  The gamma sampler calls the
+platform's ``log`` (and ``pow`` at F = 1), so a false-alarm count, like
+a pilot moment through ``exp``, can differ where libm rounds
 differently.
 Version 2 drew every block from ``Philox(key=seed).jumped(b)`` and the
 pilot block as whole (rows, pilot_count) arrays from that one stream, in
@@ -83,12 +89,12 @@ __all__ = [
 BLOCK_TRIALS = 1 << 14
 # Draws held at once per block by the attack and pilot kernels; the
 # attack's amplitudes add as much again, so its working set stays within a
-# 2 MiB per-core L2 cache.  The pilot kernel's phases and complex symbols
-# add 2.5 tiles.  The false-alarm kernel draws one value per row and walks
-# no tiles.
+# 2 MiB per-core L2 cache.  Attack head tiles take an eighth of it.  The
+# pilot kernel's phases and complex symbols add 2.5 tiles.  The
+# false-alarm kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
-# Columns of h and of a the attack transforms first; a row whose head is
-# already outside the radius is never transformed whole.
+# Coordinates of h and of a in an attack row's head; a row whose head is
+# already outside the radius draws no tail.
 HEAD_COLUMNS = 8
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
@@ -303,42 +309,61 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
+def _row_distances(
+    rng: Generator,
+    rows: int,
+    cols: int,
+    h_min: float,
+    h_max: float,
+    draws: np.ndarray,
+    amplitudes: np.ndarray,
+) -> np.ndarray:
+    """Squared distances of the next ``rows`` rows of ``cols`` uniforms of
+    ``rng``, h in the first half of each row and a in the second.
+
+    ``draws`` and ``amplitudes`` are flat scratch buffers of at least
+    ``rows * cols`` values.
+    """
+    u = rng.random(out=draws[: rows * cols].reshape(rows, cols))
+    row = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: rows * cols].reshape(rows, cols))
+    half = cols // 2
+    d = np.subtract(row[:, half:], row[:, :half], out=row[:, half:])
+    return np.einsum("ij,ij->i", d, d)
+
+
 def _attack_block(
     seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
 ) -> int:
+    k = min(F, HEAD_COLUMNS)
+    tail_cols = 2 * (F - k)
+    # Where heads decide every row, as at the paper's operating points, the
+    # head tiles are all the memory a block touches; an eighth of a tile
+    # keeps that small.
+    head_rows = min(rows, max(1, TILE_BYTES // 8 // (8 * 2 * k)))
+    tail_rows = min(rows, max(1, TILE_BYTES // (8 * tail_cols))) if tail_cols else 0
+    # Head and tail tiles share the two buffers, sized to what the block needs.
+    size = max(head_rows * 2 * k, tail_rows * tail_cols)
+    draws = np.empty(size)
+    amplitudes = np.empty(size)
     rng = _block_rng(seed, block)
-    draws = _tile_buffer(rows, 2 * F)
-    amplitudes = np.empty_like(draws)
-    # The head sum and the full sum add squares of the same differences d_k,
-    # and rounding moves a sum of at most F squares by less than F*eps
-    # relative, in any order.  A head sum above this bound therefore puts
-    # the row's full sum above radius_sq: the row fails, as it does whole.
-    head_bound = radius_sq * (1.0 + 4.0 * F * np.finfo(float).eps)
-    k = HEAD_COLUMNS if F > HEAD_COLUMNS else 0
-    head = np.empty((len(draws), 2, k))  # the first k uniforms of h and of a
+    tail_rng = None
     successes = 0
-    for start in range(0, rows, len(draws)):
-        u = rng.random(out=draws[: rows - start])
-        out = amplitudes[: len(u)]
-        if k:
-            n = len(u)
-            np.copyto(head[:n], u.reshape(n, 2, F)[:, :, :k])
-            # The amplitude buffer is free until the gather below.
-            part = out.reshape(-1)[: 2 * k * n].reshape(n, 2 * k)
-            part = _signed_amplitudes(head[:n].reshape(n, 2 * k), h_min, h_max, out=part)
-            d = np.subtract(part[:, k:], part[:, :k], out=part[:, k:])
-            keep = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= head_bound)
-            if 2 * len(keep) > n:
-                k = 0  # a head that keeps most rows costs more than it saves
-            if len(keep) < n:
-                # Gather the surviving rows into the amplitude buffer; their
-                # amplitudes then go to the draws they came from.  mode="clip"
-                # lets take write to ``out`` without a temporary copy.
-                u = np.take(u, keep, axis=0, out=amplitudes[: len(keep)], mode="clip")
-                out = draws[: len(keep)]
-        row = _signed_amplitudes(u, h_min, h_max, out=out)  # challenge h | guess a
-        d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
-        successes += int(np.count_nonzero(np.einsum("ij,ij->i", d, d) <= radius_sq))
+    for start in range(0, rows, head_rows):
+        head = _row_distances(
+            rng, min(head_rows, rows - start), 2 * k, h_min, h_max, draws, amplitudes
+        )
+        # The tail adds squares and rounding is monotone, so a head beyond
+        # the radius puts the whole row beyond it.
+        survivors = head[head <= radius_sq]
+        if not tail_cols or not len(survivors):
+            successes += len(survivors)
+            continue
+        if tail_rng is None:
+            tail_rng = _block_rng(seed, block, 1)
+        for first in range(0, len(survivors), tail_rows):
+            dist = survivors[first : first + tail_rows]
+            dist += _row_distances(tail_rng, len(dist), tail_cols, h_min, h_max, draws, amplitudes)
+            successes += int(np.count_nonzero(dist <= radius_sq))
     return successes
 
 

@@ -232,19 +232,38 @@ class TestAttackSuccess:
         assert batch.successes == 0
 
 
-def _v3_attack_distances(seed, rows, F, h_min, h_max):
-    """Squared distances of one block's rows as version 3 computed them: the
-    whole row transformed and summed, with no head rejection."""
-    row = montecarlo._signed_amplitudes(
-        montecarlo._block_rng(seed, 0).random((rows, 2 * F)), h_min, h_max
-    )
+def _whole_row_distances(rng, rows, F, h_min, h_max):
+    """Squared distances of the next ``rows`` rows of 2F uniforms of ``rng``,
+    each row transformed whole: h in the first F columns, a in the last F."""
+    row = montecarlo._signed_amplitudes(rng.random((rows, 2 * F)), h_min, h_max)
     d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
-    return np.einsum("ij,ij->i", d, d), d
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _attack_distances(seed, rows, F, h_min, h_max, radius_sq):
+    """Block 0's row distances at ``radius_sq`` under version 5 of the stream
+    contract, assembled row by row.
+
+    Each row's head, k = min(F, HEAD_COLUMNS) coordinates of h and then k
+    of a, comes from the block's stream.  A row whose head distance is
+    within the radius adds the distance of its tail, the remaining
+    2(F - k) uniforms, drawn in row order from the block's child stream 1;
+    the other rows keep their head distance, which is beyond the radius.
+    """
+    k = min(F, montecarlo.HEAD_COLUMNS)
+    dist = _whole_row_distances(montecarlo._block_rng(seed, 0), rows, k, h_min, h_max)
+    survivors = np.flatnonzero(dist <= radius_sq)
+    if F > k and len(survivors):
+        tail_rng = montecarlo._block_rng(seed, 0, 1)
+        dist[survivors] += _whole_row_distances(tail_rng, len(survivors), F - k, h_min, h_max)
+    return dist
 
 
 class TestHeadRejection:
-    """The attack kernel rejects a row from its first HEAD_COLUMNS distances;
-    its counts must equal the whole-row count of version 3 at every radius."""
+    """The attack kernel draws a row's tail only when the row's head is
+    within the radius; its counts must equal those of the rows the in-test
+    reference assembles from head and tail, at every radius and tile size.
+    At F <= HEAD_COLUMNS a row is all head, the whole row of version 4."""
 
     ROWS = {1000: 500}  # rows per block; 2000 at every other F
 
@@ -254,11 +273,14 @@ class TestHeadRejection:
     def test_counts_equal_whole_row_reference(self, monkeypatch, F, h_min, tile_bytes):
         if tile_bytes is not None:
             monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
-        k = montecarlo.HEAD_COLUMNS
+        k = min(F, montecarlo.HEAD_COLUMNS)
         rows = self.ROWS.get(F, 2000)
-        dist, d = _v3_attack_distances(41, rows, F, h_min, 1.0)
-        head = np.einsum("ij,ij->i", d[:, :k], d[:, :k])  # the whole row when F <= k
-        boundary = float(dist.min())
+        head = _whole_row_distances(montecarlo._block_rng(41, 0), rows, k, h_min, 1.0)
+        dist = _attack_distances(41, rows, F, h_min, 1.0, math.inf)  # every row whole
+        # Row 0 is the first survivor at every radius that keeps it, so it
+        # always takes the child stream's first tail: its distance is a
+        # boundary at every radius.
+        boundary = float(dist[0])
         radii = {
             "all_pruned": 0.5 * float(head.min()),
             "some_pruned": float(np.quantile(head, 0.3)),
@@ -271,26 +293,47 @@ class TestHeadRejection:
             assert 0 < np.count_nonzero(head > radii["some_pruned"]) < rows
             assert not np.any(head > radii["none_pruned"])
         for name, radius_sq in radii.items():
-            expected = int(np.count_nonzero(dist <= radius_sq))
+            expected = _attack_distances(41, rows, F, h_min, 1.0, radius_sq) <= radius_sq
             got = montecarlo._attack_block(41, 0, rows, F, h_min, 1.0, radius_sq)
-            assert got == expected, (name, radius_sq)
-        # the boundary row counts at <= and not below it
-        below = radii["below_boundary"]
-        assert np.count_nonzero(dist <= boundary) > np.count_nonzero(dist <= below)
+            assert got == np.count_nonzero(expected), (name, radius_sq)
+            if name.endswith("boundary"):  # row 0 counts at <= and not below it
+                assert expected[0] == (name == "boundary")
 
     @pytest.mark.parametrize("F", [9, 10])
     def test_rows_whose_distance_is_all_in_the_head(self, F):
         # With |h_k| = |a_k| = 1 every d_k^2 is 0 or 4 and every sum is exact,
-        # so a row whose sign mismatches all fall in the head has a head sum
-        # equal to its distance; at a radius equal to both it must count.
+        # so a row whose sign mismatches all fall in the head has a head
+        # distance equal to its whole distance; at a radius equal to both it
+        # must count.
         k = montecarlo.HEAD_COLUMNS
-        dist, d = _v3_attack_distances(42, 2000, F, 1.0, 1.0)
-        head = np.einsum("ij,ij->i", d[:, :k], d[:, :k])
-        radii = [4.0 * m for m in range(1, k)]
-        assert all(np.any((head == dist) & (dist == r)) for r in radii)
-        for radius_sq in radii:
+        head = _whole_row_distances(montecarlo._block_rng(42, 0), 2000, k, 1.0, 1.0)
+        for radius_sq in [4.0 * m for m in range(1, k)]:
+            dist = _attack_distances(42, 2000, F, 1.0, 1.0, radius_sq)
+            assert np.any((head == dist) & (dist == radius_sq)), radius_sq
             got = montecarlo._attack_block(42, 0, 2000, F, 1.0, 1.0, radius_sq)
             assert got == np.count_nonzero(dist <= radius_sq), radius_sq
+
+
+class TestAttackLaw:
+    """A row drawn as head and tail from two streams follows the law of a
+    whole row of 2F independent uniforms."""
+
+    @pytest.mark.parametrize("F, rows", [(9, BLOCK_TRIALS), (100, BLOCK_TRIALS), (1000, 4096)])
+    def test_kernel_matches_whole_row_estimate(self, F, rows):
+        # At h_min = 0 each d_k^2 = (a_k - h_k)^2 has mean 2/3 and variance
+        # 28/45; the normal approximation of their sum puts about 30% of
+        # rows within this radius.
+        radius_sq = F * 2.0 / 3.0 - 0.5244 * math.sqrt(F * 28.0 / 45.0)
+        kernel = montecarlo._attack_block(43, 0, rows, F, 0.0, 1.0, radius_sq)
+        rng = np.random.default_rng(44)
+        reference = sum(
+            int(np.count_nonzero(_whole_row_distances(rng, n, F, 0.0, 1.0) <= radius_sq))
+            for n in np.diff([*range(0, rows, 1024), rows])
+        )
+        pooled = (kernel + reference) / (2 * rows)
+        assert 0.2 < pooled < 0.4
+        sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / rows)
+        assert abs(kernel - reference) / rows < 3.0 * sigma
 
 
 # Two full blocks and a partial one.
@@ -313,13 +356,16 @@ def _pinned_run(F, jobs=1):
 
 
 class TestStreamContract:
-    """(seed, trials) -> result, pinned for version 4 of the stream contract."""
+    """(seed, trials) -> result, pinned for version 5 of the stream contract."""
 
     # F -> ((false-alarm successes, estimate), (attack successes, estimate))
     GOLDEN = {
-        100: ((1839, 0.05445984363894812), (27738, 0.8214285714285714)),
-        1000: ((1691, 0.050076995972518364), (6185, 0.18316157308694622)),
+        100: ((1839, 0.05445984363894812), (27739, 0.8214581852641554)),
+        1000: ((1691, 0.050076995972518364), (6304, 0.18668561952144042)),
     }
+    # F -> attack successes.  A row of at most HEAD_COLUMNS coordinates is
+    # all head, so these are the counts of version 4.
+    SMALL_F_ATTACK = {1: 30776, 2: 31112, 3: 31278, 8: 31148}
     # The pilot run does not depend on F.
     PILOT_MOMENTS = (0.9999863526651794, 0.0009958132032588049)
 
@@ -333,6 +379,10 @@ class TestStreamContract:
         mean, variance = self.PILOT_MOMENTS
         assert moments.mean == pytest.approx(mean, rel=1e-12)
         assert moments.variance == pytest.approx(variance, rel=1e-12)
+
+    @pytest.mark.parametrize("F", sorted(SMALL_F_ATTACK))
+    def test_small_f_attack_is_version_4(self, F):
+        assert _pinned_run(F)[1].successes == self.SMALL_F_ATTACK[F]
 
     @pytest.mark.parametrize(
         "tile_bytes",
@@ -373,9 +423,9 @@ class TestSeedingPoint:
         ),
     }
 
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_one_stream_per_block(self, monkeypatch, kernel):
-        run, streams = self.KERNELS[kernel]
+    def _streams(self, monkeypatch, run):
+        """The spawn keys ``run(5)`` draws from, sorted; the run must
+        reproduce ``run(5 + OFFSET)``."""
         expected = run(5 + self.OFFSET)
         block_rng = montecarlo._block_rng
         calls = []
@@ -386,7 +436,31 @@ class TestSeedingPoint:
 
         monkeypatch.setattr(montecarlo, "_block_rng", counting)
         assert run(5) == dataclasses.replace(expected, seed=5)
-        assert sorted(calls) == [(5, key) for key in streams]
+        assert {seed for seed, _ in calls} == {5}
+        return sorted(key for _, key in calls)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_one_stream_per_block(self, monkeypatch, kernel):
+        run, streams = self.KERNELS[kernel]
+        assert self._streams(monkeypatch, run) == streams
+
+    def test_attack_tail_stream_only_where_a_head_survives(self, monkeypatch):
+        # At F = 12 and tau = 0 the radius^2 is 12 sigma_h^2 = 0.4: about one
+        # row in 5000 keeps its head, so only some blocks draw tails.
+        params = make(F=12, h_min=0.0, pilot_count=1, lambda_B=30.0)
+        radius_sq = 12 * channel.sigma_h_sq(params)
+        with_tails = []
+        for block, rows in montecarlo._blocks(PIN_TRIALS):
+            rng = montecarlo._block_rng(5 + self.OFFSET, block)
+            head = _whole_row_distances(rng, rows, montecarlo.HEAD_COLUMNS, 0.0, 1.0)
+            if np.any(head <= radius_sq):
+                with_tails.append((block, 1))
+        assert 0 < len(with_tails) < len(self.BLOCKS)
+
+        def run(seed):
+            return measure_attack_success(params, 0.0, PIN_TRIALS, seed)
+
+        assert self._streams(monkeypatch, run) == sorted(self.BLOCKS + with_tails)
 
 
 def _peak_bytes(kernel, *args):
