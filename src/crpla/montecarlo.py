@@ -48,8 +48,8 @@ worker stays bounded as F and pilot_count grow.
 This is version 5 of the reproducibility contract.  Version 4 drew all
 2F uniforms of an attack row from the block's stream and transformed the
 head first, dropping a row whose head sum exceeded radius^2 (1 + 4 F eps);
-at the paper's operating points the head decides every row, so drawing
-the tail was most of the kernel's time.  Only the attack counts at
+at the paper's operating points the head decides almost every row, so
+drawing the tail was most of the kernel's time.  Only the attack counts at
 F > ``HEAD_COLUMNS`` moved; at smaller F a row is all head and its count
 is the one of version 4.  Version 4 in turn drew a false-alarm energy
 as one chi-square variate where version 3 summed F squared normals:
@@ -309,28 +309,6 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
-def _row_distances(
-    rng: Generator,
-    rows: int,
-    cols: int,
-    h_min: float,
-    h_max: float,
-    draws: np.ndarray,
-    amplitudes: np.ndarray,
-) -> np.ndarray:
-    """Squared distances of the next ``rows`` rows of ``cols`` uniforms of
-    ``rng``, h in the first half of each row and a in the second.
-
-    ``draws`` and ``amplitudes`` are flat scratch buffers of at least
-    ``rows * cols`` values.
-    """
-    u = rng.random(out=draws[: rows * cols].reshape(rows, cols))
-    row = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: rows * cols].reshape(rows, cols))
-    half = cols // 2
-    d = np.subtract(row[:, half:], row[:, :half], out=row[:, half:])
-    return np.einsum("ij,ij->i", d, d)
-
-
 def _attack_block(
     seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
 ) -> int:
@@ -342,16 +320,21 @@ def _attack_block(
     head_rows = min(rows, max(1, TILE_BYTES // 8 // (8 * 2 * k)))
     tail_rows = min(rows, max(1, TILE_BYTES // (8 * tail_cols))) if tail_cols else 0
     # Head and tail tiles share the two buffers, sized to what the block needs.
-    size = max(head_rows * 2 * k, tail_rows * tail_cols)
-    draws = np.empty(size)
-    amplitudes = np.empty(size)
+    draws = np.empty(max(head_rows * 2 * k, tail_rows * tail_cols))
+    amplitudes = np.empty_like(draws)
+
+    def distances(stream: Generator, n: int, cols: int) -> np.ndarray:
+        """Squared distances of the next n rows of ``stream``: cols uniforms, h | a."""
+        u = stream.random(out=draws[: n * cols].reshape(n, cols))
+        row = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: n * cols].reshape(n, cols))
+        d = np.subtract(row[:, cols // 2 :], row[:, : cols // 2], out=row[:, cols // 2 :])
+        return np.einsum("ij,ij->i", d, d)
+
     rng = _block_rng(seed, block)
     tail_rng = None
     successes = 0
     for start in range(0, rows, head_rows):
-        head = _row_distances(
-            rng, min(head_rows, rows - start), 2 * k, h_min, h_max, draws, amplitudes
-        )
+        head = distances(rng, min(head_rows, rows - start), 2 * k)
         # The tail adds squares and rounding is monotone, so a head beyond
         # the radius puts the whole row beyond it.
         survivors = head[head <= radius_sq]
@@ -362,7 +345,7 @@ def _attack_block(
             tail_rng = _block_rng(seed, block, 1)
         for first in range(0, len(survivors), tail_rows):
             dist = survivors[first : first + tail_rows]
-            dist += _row_distances(tail_rng, len(dist), tail_cols, h_min, h_max, draws, amplitudes)
+            dist += distances(tail_rng, len(dist), tail_cols)
             successes += int(np.count_nonzero(dist <= radius_sq))
     return successes
 
