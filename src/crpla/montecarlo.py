@@ -314,9 +314,9 @@ def _attack_block(
 ) -> int:
     k = min(F, HEAD_COLUMNS)
     tail_cols = 2 * (F - k)
-    # Where heads decide every row, as at the paper's operating points, the
-    # head tiles are all the memory a block touches; an eighth of a tile
-    # keeps that small.
+    # Where heads decide almost every row, as at the paper's operating
+    # points, the head tiles are most of the memory a block touches; an
+    # eighth of a tile keeps that small.
     head_rows = min(rows, max(1, TILE_BYTES // 8 // (8 * 2 * k)))
     tail_rows = min(rows, max(1, TILE_BYTES // (8 * tail_cols))) if tail_cols else 0
     # Head and tail tiles share the two buffers, sized to what the block needs.
