@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import channel, hybrid, montecarlo, sweep
 from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
@@ -68,7 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crpla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(
+        name: str, run: Callable[[argparse.Namespace], int], help: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--quiet", action="store_true", help="suppress informational output")
         p.add_argument(
@@ -77,26 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
             help="derive the channel-test threshold from the exact finite-F "
             "chi-square law instead of the asymptotic normal one",
         )
+        return p
 
-    p_analyze = sub.add_parser("analyze", help="report all mechanisms at one operating point")
-    add_common(p_analyze)
+    p_analyze = add_command("analyze", cmd_analyze, "report all mechanisms at one operating point")
     p_analyze.add_argument("--out", help="also write the report as JSON to this path")
 
-    p_sweep = sub.add_parser("sweep", help="evaluate mechanisms along a swept variable")
-    add_common(p_sweep)
+    p_sweep = add_command("sweep", cmd_sweep, "evaluate mechanisms along a swept variable")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument(
         "--jobs", type=_jobs, default=1, help="accepted for compatibility; sweeps start no workers"
     )
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo validation of the analytic values")
-    add_common(p_sim)
+    p_sim = add_command("simulate", cmd_simulate, "Monte Carlo validation of the analytic values")
     p_sim.add_argument("--trials", type=int, default=1_000_000, help="trials per check")
     p_sim.add_argument("--seed", type=int, default=None, help="base seed (default: CRPLA_SEED or 0)")
     p_sim.add_argument("--jobs", type=_jobs, default=_default_jobs(), help="worker threads")
 
-    p_opt = sub.add_parser("optimize", help="grid search over pilot count and h_min")
-    add_common(p_opt)
+    p_opt = add_command("optimize", cmd_optimize, "grid search over pilot count and h_min")
     p_opt.add_argument("--grid-csv", help="also dump every evaluated grid cell to this CSV")
 
     return parser
@@ -206,7 +207,7 @@ def simulate_rows(
     tau, sigma_sq = geometry.tau, geometry.sigma_h_sq
     fa = montecarlo.measure_false_alarm(params, tau, trials, seed, jobs)
     fa_exact = chi_square_sf(math.sqrt(2.0 * params.F) * tau + params.F, params.F)
-    attack = montecarlo.measure_attack_success(params, tau, trials, seed + 1, jobs)
+    attack = montecarlo.measure_attack_success(params, geometry.radius, trials, seed + 1, jobs)
     p_succ = 2.0 ** geometry.log2_p_succ
     unresolved = attack.successes == 0 and p_succ * trials < 10.0
     moments = montecarlo.simulate_pilot_estimation(
@@ -263,19 +264,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "optimize": cmd_optimize,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,7 +32,7 @@ Draw order inside a block (one row per trial, rows in trial order):
   the order of those rows; the stream is made when a block first needs
   it.  Each signed amplitude comes from one uniform u as
   copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1.  A row
-  succeeds when head + tail, rounded once, is within the radius.  The
+  succeeds when head + tail, rounded once, is at most radius * radius.  The
   tail adds squares and rounding is monotone, so a head beyond the radius
   decides the row exactly;
 * pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
@@ -45,23 +45,11 @@ the tiles concatenate to the whole-block draw and every count, and every
 per-row pilot estimate, is independent of the tile size; memory per
 worker stays bounded as F and pilot_count grow.
 
-This is version 5 of the reproducibility contract.  Version 4 drew all
-2F uniforms of an attack row from the block's stream and transformed the
-head first, dropping a row whose head sum exceeded radius^2 (1 + 4 F eps);
-at the paper's operating points the head decides almost every row, so
-drawing the tail was most of the kernel's time.  Only the attack counts at
-F > ``HEAD_COLUMNS`` moved; at smaller F a row is all head and its count
-is the one of version 4.  Version 4 in turn drew a false-alarm energy
-as one chi-square variate where version 3 summed F squared normals:
-numpy's gamma sampler (Marsaglia and Tsang, ACM TOMS 26, 2000) draws
-chi-square(F) = 2 Gamma(F/2) in O(1).  The gamma sampler calls the
-platform's ``log`` (and ``pow`` at F = 1), so a false-alarm count, like
-a pilot moment through ``exp``, can differ where libm rounds
-differently.
-Version 2 drew every block from ``Philox(key=seed).jumped(b)`` and the
-pilot block as whole (rows, pilot_count) arrays from that one stream, in
-the order phases, real noise, imaginary noise; version 1 also drew h for
-false alarms and one uniform plus one integer sign per attack amplitude.
+This is version 5 of the reproducibility contract; its results are
+pinned by ``tests/test_montecarlo.py::TestStreamContract``.  The gamma
+sampler behind ``chisquare`` calls the platform's ``log`` (and ``pow`` at
+F = 1), so a false-alarm count, like a pilot moment through ``exp``, can
+differ where libm rounds differently.
 """
 
 from __future__ import annotations
@@ -73,7 +61,6 @@ from typing import Callable
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from . import channel
 from .params import SystemParams
 
 __all__ = [
@@ -117,13 +104,10 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     return out
 
 
-def _tile_buffer(rows: int, cols: int) -> np.ndarray:
-    """Reusable tile of at most ``TILE_BYTES`` of float64 draws, and at least one row.
-
-    ``buffer[: rows - start]`` is then the tile that starts at row
-    ``start`` of a block.
-    """
-    return np.empty((min(rows, max(1, TILE_BYTES // (8 * cols))), cols))
+def _tile_rows(rows: int, cols: int, share: int = 1) -> int:
+    """Rows of ``cols`` float64 draws in a tile of ``TILE_BYTES // share``
+    bytes: at least one, and at most the block's ``rows``."""
+    return min(rows, max(1, TILE_BYTES // share // (8 * cols)))
 
 
 def _map_blocks(block_fn: Callable[[int, int], object], trials: int, jobs: int) -> list:
@@ -216,7 +200,7 @@ def _pilot_block(
 ) -> tuple[float, float]:
     phase_rng = _block_rng(seed, block, 0)
     noise_rng = _block_rng(seed, block, 1)
-    noise = _tile_buffer(rows, 2 * pilots)  # real | imaginary parts
+    noise = np.empty((_tile_rows(rows, 2 * pilots), 2 * pilots))  # real | imaginary parts
     phase = np.empty((len(noise), pilots))
     x = np.empty(phase.shape, dtype=complex)  # unit-modulus pilots
     y = np.empty_like(x)  # received symbols h x + w
@@ -317,8 +301,8 @@ def _attack_block(
     # Where heads decide almost every row, as at the paper's operating
     # points, the head tiles are most of the memory a block touches; an
     # eighth of a tile keeps that small.
-    head_rows = min(rows, max(1, TILE_BYTES // 8 // (8 * 2 * k)))
-    tail_rows = min(rows, max(1, TILE_BYTES // (8 * tail_cols))) if tail_cols else 0
+    head_rows = _tile_rows(rows, 2 * k, share=8)
+    tail_rows = _tile_rows(rows, tail_cols) if tail_cols else 0
     # Head and tail tiles share the two buffers, sized to what the block needs.
     draws = np.empty(max(head_rows * 2 * k, tail_rows * tail_cols))
     amplitudes = np.empty_like(draws)
@@ -351,18 +335,18 @@ def _attack_block(
 
 
 def measure_attack_success(
-    params: SystemParams, tau: float, trials: int, seed: int, jobs: int = 1
+    params: SystemParams, radius: float, trials: int, seed: int, jobs: int = 1
 ) -> TrialBatch:
-    """Empirical success rate of the guessing attack at threshold ``tau``.
+    """Empirical success rate of the guessing attack against the ball of
+    radius ``radius``.
 
     The attack injects its guess noiselessly, so success is the exact
-    inequality sum((a_k - h_k)^2) <= radius^2 with no re-noising; the
-    radius comes from ``tau`` and sigma_h^2, not from the geometry under
-    test.  Zero successes raise nothing: the caller judges the count.
+    inequality sum((a_k - h_k)^2) <= radius^2 with no re-noising.  The
+    caller supplies the radius, ``ChannelGeometry.radius`` for the channel
+    check under test.  Zero successes raise nothing: the caller judges the
+    count.
     """
-    var = channel.sigma_h_sq(params)
-    chi = math.sqrt(2.0 * params.F) * tau + params.F
-    radius_sq = max(chi, 0.0) * var
+    radius_sq = radius * radius
     successes = sum(
         _map_blocks(
             lambda block, rows: _attack_block(

@@ -64,7 +64,7 @@ def test_criterion_1_geometry_oracle():
         geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
         analytic = 2.0**geometry.log2_p_succ
         start = time.monotonic()
-        batch = montecarlo.measure_attack_success(params, tau, 10_000_000, SEED)
+        batch = montecarlo.measure_attack_success(params, geometry.radius, 10_000_000, SEED)
         elapsed = time.monotonic() - start
         hit = batch.contains(analytic)
         ok &= hit and elapsed < 120.0

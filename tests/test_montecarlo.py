@@ -4,10 +4,12 @@ The heavyweight 1e7-trial agreements live in the acceptance suite; here
 the same machinery runs at reduced trial counts with seeded draws.
 """
 
+import ast
 import dataclasses
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ def make(**overrides):
     return SystemParams(**base)
 
 
+def radius(params, tau):
+    """The acceptance-ball radius at threshold ``tau``, the one ``simulate`` samples."""
+    return float(channel.geometry(params, tau, params.pilot_count, params.h_min).radius)
+
+
 class TestWilson:
     def test_contains_estimate(self):
         for successes, trials in ((0, 100), (5, 100), (100, 100), (317, 1000)):
@@ -69,23 +76,23 @@ class TestDeterminism:
     def test_same_seed_same_batch(self):
         params = make()
         tau = channel.threshold_from_pfa(params.p_FA, params.F)
-        a = measure_attack_success(params, tau, 50_000, seed=11)
-        b = measure_attack_success(params, tau, 50_000, seed=11)
+        a = measure_attack_success(params, radius(params, tau), 50_000, seed=11)
+        b = measure_attack_success(params, radius(params, tau), 50_000, seed=11)
         assert a == b
 
     def test_different_seed_differs(self):
         params = make()
         tau = channel.threshold_from_pfa(params.p_FA, params.F)
-        a = measure_attack_success(params, tau, 200_000, seed=11)
-        b = measure_attack_success(params, tau, 200_000, seed=12)
+        a = measure_attack_success(params, radius(params, tau), 200_000, seed=11)
+        b = measure_attack_success(params, radius(params, tau), 200_000, seed=12)
         assert a.successes != b.successes
 
     def test_worker_count_invariance(self):
         params = make()
         tau = channel.threshold_from_pfa(params.p_FA, params.F)
         trials = 3 * BLOCK_TRIALS + 123  # exercises a partial final block
-        serial = measure_attack_success(params, tau, trials, seed=3, jobs=1)
-        parallel = measure_attack_success(params, tau, trials, seed=3, jobs=4)
+        serial = measure_attack_success(params, radius(params, tau), trials, seed=3, jobs=1)
+        parallel = measure_attack_success(params, radius(params, tau), trials, seed=3, jobs=4)
         assert serial == parallel
         fa_serial = measure_false_alarm(params, tau, trials, seed=3, jobs=1)
         fa_parallel = measure_false_alarm(params, tau, trials, seed=3, jobs=3)
@@ -199,13 +206,13 @@ class TestAttackSuccess:
     def test_sphere_engulfs_support(self):
         params = make(F=2, lambda_B=1e-3, pilot_count=1)  # radius >> span
         tau = channel.threshold_from_pfa(0.05, params.F)
-        batch = measure_attack_success(params, tau, 5_000, seed=9)
+        batch = measure_attack_success(params, radius(params, tau), 5_000, seed=9)
         assert batch.estimate == 1.0
 
     def test_sign_ambiguity_only(self):
         # pinned magnitude: success iff all F sign guesses match, rate 2^-F
         params = make(F=3, h_min=1.0, h_max=1.0, lambda_B=1e6)
-        batch = measure_attack_success(params, 0.0, 200_000, seed=10)
+        batch = measure_attack_success(params, radius(params, 0.0), 200_000, seed=10)
         assert batch.contains(2.0**-3)
 
     def test_headline_geometry_agreement(self):
@@ -213,7 +220,7 @@ class TestAttackSuccess:
         tau = channel.threshold_from_pfa(0.05, params.F)
         geometry = channel.geometry(params, tau, params.pilot_count, params.h_min)
         analytic = 2.0**geometry.log2_p_succ
-        batch = measure_attack_success(params, tau, 1_000_000, seed=11)
+        batch = measure_attack_success(params, geometry.radius, 1_000_000, seed=11)
         assert batch.contains(analytic)
 
     def test_insufficient_resolution_warns(self):
@@ -227,7 +234,7 @@ class TestAttackSuccess:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = measure_attack_success(
-                params, channel.threshold_from_pfa(1e-7, params.F), 2_000, seed=12
+                params, radius(params, channel.threshold_from_pfa(1e-7, params.F)), 2_000, seed=12
             )
         assert batch.successes == 0
 
@@ -350,7 +357,7 @@ def _pinned_run(F, jobs=1):
     tau = channel.threshold_from_pfa(0.05, params.F)
     return (
         measure_false_alarm(params, tau, PIN_TRIALS, seed=21, jobs=jobs),
-        measure_attack_success(params, tau, PIN_TRIALS, seed=22, jobs=jobs),
+        measure_attack_success(params, radius(params, tau), PIN_TRIALS, seed=22, jobs=jobs),
         simulate_pilot_estimation(1.0, 100.0, 10, PIN_TRIALS, seed=23, jobs=jobs),
     )
 
@@ -416,7 +423,10 @@ class TestSeedingPoint:
     BLOCKS = [(0,), (1,), (2,)]  # PIN_TRIALS fills two blocks and part of a third
     KERNELS = {
         "false_alarm": (lambda seed: measure_false_alarm(make(F=3), 0.5, PIN_TRIALS, seed), BLOCKS),
-        "attack": (lambda seed: measure_attack_success(make(F=3), 0.5, PIN_TRIALS, seed), BLOCKS),
+        "attack": (
+            lambda seed: measure_attack_success(make(F=3), radius(make(F=3), 0.5), PIN_TRIALS, seed),
+            BLOCKS,
+        ),
         "pilot": (
             lambda seed: simulate_pilot_estimation(1.0, 100.0, 4, PIN_TRIALS, seed),
             [block + (child,) for block in BLOCKS for child in (0, 1)],
@@ -458,7 +468,7 @@ class TestSeedingPoint:
         assert 0 < len(with_tails) < len(self.BLOCKS)
 
         def run(seed):
-            return measure_attack_success(params, 0.0, PIN_TRIALS, seed)
+            return measure_attack_success(params, radius(params, 0.0), PIN_TRIALS, seed)
 
         assert self._streams(monkeypatch, run) == sorted(self.BLOCKS + with_tails)
 
@@ -504,5 +514,21 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 2048)
         params = make(F=1000, h_min=0.0, pilot_count=1)
-        peak = _peak_bytes(measure_attack_success, params, 1.6, 4 * 2048, 1, 2)
+        peak = _peak_bytes(measure_attack_success, params, radius(params, 1.6), 4 * 2048, 1, 2)
         assert peak < 2 * 2.25 * montecarlo.TILE_BYTES
+
+
+def test_imports_no_analytic_module():
+    # The kernels sample the ball, threshold or law they are given.  Mapping a
+    # threshold to a ball belongs to ``channel`` alone; a second copy here
+    # would share its formulas rather than check them.
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("crpla")):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "params" in names  # the walk sees the package's own imports
+    assert not names & {"channel", "coding", "hybrid", "sweep"}

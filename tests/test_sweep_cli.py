@@ -101,30 +101,51 @@ class TestApplySweptValue:
 
 
 class TestRunSweep:
-    def test_single_value_matches_direct_evaluation(self):
+    @pytest.mark.parametrize(
+        "variable, value, optimum",
+        [
+            ("h_min", 0.9, ("HYBRID", 0.1, 0.9, 1620.821)),
+            # an F sweep searches the whole grid, channel-only endpoint included
+            ("F", 2.0, ("CH", 1.0, 0.0, 16.648)),
+            ("F", 100.0, ("HYBRID", 0.1, 0.9, 1620.821)),
+        ],
+        ids=["h_min", "F=2", "F=100"],
+    )
+    def test_single_value_matches_direct_evaluation(self, variable, value, optimum):
         spec = SweepSpec(
-            variable="h_min",
-            values=(0.9,),
-            mechanisms=("CH", "CD", "HYBRID"),
+            variable=variable,
+            values=(value,),
+            mechanisms=("CH", "CD", "HYBRID", "HYBRID_OPT"),
             params=params_from_config(BASE_PARAMS),
         )
         rows = run_sweep(spec)
         by_label = {label: report for _v, label, report in rows}
-        params = params_from_config(BASE_PARAMS)
+        params = apply_swept_value(spec.params, variable, value)
         assert by_label["CH"] == hybrid.evaluate(params, "CH").report
         assert by_label["CD"] == hybrid.evaluate(params, "CD").report
         assert by_label["HYBRID"] == hybrid.evaluate(params, "HYBRID").report
+        opt = by_label["HYBRID_OPT"]
+        *labels, b_tot = optimum
+        assert (opt.mechanism, opt.alpha_used, opt.h_min_used) == tuple(labels)
+        assert opt.b_tot == pytest.approx(b_tot, abs=5e-4)
 
-    def test_opt_rows_pin_swept_h_min(self):
+    @pytest.mark.parametrize(
+        "variable, values, field",
+        [("h_min", (0.85,), "h_min_used"), ("alpha", (0.1, 0.5, 0.9), "alpha_used")],
+        ids=["h_min", "alpha"],
+    )
+    def test_opt_rows_pin_swept_value(self, variable, values, field):
         spec = SweepSpec(
-            variable="h_min",
-            values=(0.85,),
+            variable=variable,
+            values=values,
             mechanisms=("HYBRID_OPT",),
             params=params_from_config(BASE_PARAMS),
         )
-        ((_value, label, report),) = run_sweep(spec)
-        assert label == "HYBRID_OPT"
-        assert report.h_min_used == 0.85
+        rows = run_sweep(spec)
+        assert [label for _v, label, _r in rows] == ["HYBRID_OPT"] * len(values)
+        assert [getattr(report, field) for _v, _l, report in rows] == list(values)
+        # a pinned search leaves the channel-only endpoint out
+        assert all(report.mechanism == "HYBRID" for _v, _l, report in rows)
 
     def test_row_order_is_value_major(self):
         spec = SweepSpec(
