@@ -19,7 +19,7 @@ NARRATIVE = {
     "false_alarm": "legitimate-traffic rejections against the exact chi-square tail",
     "false_alarm_asym": "the same rejections beside the asymptotic normal target p_FA "
     "(at tiny F the exact tail sits well above it; not judged)",
-    "attack_success": "random guesses landing in the acceptance ball, against the volume ratio",
+    "attack_success": "the centre guess landing in the acceptance ball, against the volume ratio",
     "estimator_mean": "the pilot estimator's sample mean against h_max",
     "estimator_variance": "its sample variance against 1 / (lambda_B * pilots)",
 }

@@ -26,7 +26,7 @@ All volumes are handled in log2 to stay finite for F in the thousands.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,9 +38,11 @@ __all__ = [
     "ChannelGeometry",
     "sigma_h_sq",
     "threshold_from_pfa",
+    "chi_square_point",
     "test_statistic",
     "geometry",
     "equivalent_key_bits",
+    "as_floats",
 ]
 
 _LN2 = math.log(2.0)
@@ -103,6 +105,13 @@ def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
     return (chi_square_isf(p_fa_ch, F) - F) / math.sqrt(2.0 * F)
 
 
+def chi_square_point(tau: float, F: int) -> float:
+    """The residual energy sqrt(2F) * tau + F at which the statistic meets
+    threshold ``tau``: the point on the chi-square law with F degrees of
+    freedom where the acceptance region ends."""
+    return math.sqrt(2.0 * F) * tau + F
+
+
 def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     """Standardized squared-residual statistic over F frames.
 
@@ -141,7 +150,7 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
     F = params.F
     h_min = np.asarray(h_min, dtype=float)
     span = params.h_max - h_min
-    chi = math.sqrt(2.0 * F) * tau + F
+    chi = chi_square_point(tau, F)
     radius = (math.sqrt(chi) if chi > 0.0 else 0.0) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
     # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate rejects
@@ -171,5 +180,10 @@ def equivalent_key_bits(
     ``exact_threshold`` picks the law of :func:`threshold_from_pfa`.
     """
     tau = threshold_from_pfa(p_fa_ch, params.F, exact_threshold)
-    g = geometry(params, tau, params.pilot_count, params.h_min)
-    return ChannelGeometry(*map(float, astuple(g)))
+    return as_floats(geometry(params, tau, params.pilot_count, params.h_min))
+
+
+def as_floats(record):
+    """A copy of the dataclass ``record`` with every field a Python float,
+    from numpy scalars or 0-d arrays; fields are read, not deep-copied."""
+    return type(record)(*(float(getattr(record, f.name)) for f in fields(record)))

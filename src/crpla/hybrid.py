@@ -21,7 +21,7 @@ externally pinned, since the endpoint lives at h_min = 0.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -134,7 +134,7 @@ def evaluate(
             f"hybrid needs 1 <= pilot_count <= n-1, got {params.pilot_count} of n={params.n}"
         )
     checks = _hybrid_checks(params, params.pilot_count, params.h_min, exact_threshold)
-    geometry, rates = (type(check)(*map(float, astuple(check))) for check in checks)
+    geometry, rates = map(channel.as_floats, checks)
     report = SecurityReport("HYBRID", geometry.b_ch, rates.b_key, params.alpha, params.h_min)
     return Evaluation(report, geometry, rates)
 

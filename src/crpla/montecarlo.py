@@ -2,9 +2,11 @@
 
 Three measurements are provided: symbol-level pilot estimation (the
 estimator's mean and variance), legitimate-traffic false alarms (against
-the exact chi-square law), and geometric attack success (against the
-volume-ratio success probability).  They return counts and moments;
-judging them against the analytic values is left to ``crpla simulate``.
+the exact chi-square law), and the geometric attack success of the
+centre guess (against the volume-ratio success probability, which it
+reaches while the ball fits in the admissible set).  They return counts
+and moments; judging them against the analytic values is left to
+``crpla simulate``.
 
 Reproducibility scheme
 ----------------------
@@ -26,15 +28,19 @@ Draw order inside a block (one row per trial, rows in trial order):
   (h_hat - h)/sigma; neither the residuals nor the challenge h, which
   cancels from the statistic, are drawn;
 * attack: a head of k = min(F, ``HEAD_COLUMNS``) coordinates of the
-  challenge h and then k of the guess a, 2k uniforms from the block's
-  stream.  Only a row whose head distance is within the radius draws its
-  tail, the other 2(F - k) uniforms (h then a), from child stream 1, in
-  the order of those rows; the stream is made when a block first needs
-  it.  Each signed amplitude comes from one uniform u as
-  copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1.  A row
-  succeeds when head + tail, rounded once, is at most radius * radius.  The
-  tail adds squares and rounding is monotone, so a head beyond the radius
-  decides the row exactly;
+  challenge h, k uniforms from the block's stream.  Only a row whose head
+  distance is within the radius draws its tail, the other F - k
+  coordinates, from child stream 1, in the order of those rows; the
+  stream is made when a block first needs it.  Each signed amplitude
+  comes from one uniform u as copysign(h_min + |v| * (h_max - h_min), v)
+  with v = 2u - 1.  No guess is drawn: the guess is the fixed point
+  (c, ..., c), with c = h_min + (h_max - h_min)/2 when h_min > 0 and
+  c = 0 when h_min = 0, and a coordinate's distance is h_k - c.  The
+  admissible set is symmetric in every sign, so this guess succeeds with
+  the law of the centre guess c * sigma of a random sign pattern sigma.
+  A row succeeds when head + tail, rounded once, is at most radius *
+  radius.  The tail adds squares and rounding is monotone, so a head
+  beyond the radius decides the row exactly;
 * pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
   from child stream 0, and 2 * pilot_count standard normals, the real
   then the imaginary noise parts, from child stream 1.
@@ -45,7 +51,7 @@ the tiles concatenate to the whole-block draw and every count, and every
 per-row pilot estimate, is independent of the tile size; memory per
 worker stays bounded as F and pilot_count grow.
 
-This is version 5 of the reproducibility contract; its results are
+This is version 6 of the reproducibility contract; its results are
 pinned by ``tests/test_montecarlo.py::TestStreamContract``.  The gamma
 sampler behind ``chisquare`` calls the platform's ``log`` (and ``pow`` at
 F = 1), so a false-alarm count, like a pilot moment through ``exp``, can
@@ -80,8 +86,8 @@ BLOCK_TRIALS = 1 << 14
 # pilot kernel's phases and complex symbols add 2.5 tiles.  The
 # false-alarm kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
-# Coordinates of h and of a in an attack row's head; a row whose head is
-# already outside the radius draws no tail.
+# Coordinates of h in an attack row's head; a row whose head is already
+# outside the radius draws no tail.
 HEAD_COLUMNS = 8
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
@@ -297,28 +303,30 @@ def _attack_block(
     seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
 ) -> int:
     k = min(F, HEAD_COLUMNS)
-    tail_cols = 2 * (F - k)
+    tail_cols = F - k
     # Where heads decide almost every row, as at the paper's operating
     # points, the head tiles are most of the memory a block touches; an
     # eighth of a tile keeps that small.
-    head_rows = _tile_rows(rows, 2 * k, share=8)
+    head_rows = _tile_rows(rows, k, share=8)
     tail_rows = _tile_rows(rows, tail_cols) if tail_cols else 0
     # Head and tail tiles share the two buffers, sized to what the block needs.
-    draws = np.empty(max(head_rows * 2 * k, tail_rows * tail_cols))
+    draws = np.empty(max(head_rows * k, tail_rows * tail_cols))
     amplitudes = np.empty_like(draws)
+    # Every coordinate of the guess: the centre of the positive cube, or the origin.
+    centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
 
     def distances(stream: Generator, n: int, cols: int) -> np.ndarray:
-        """Squared distances of the next n rows of ``stream``: cols uniforms, h | a."""
+        """Squared distances to the guess of the next n rows of cols uniforms of ``stream``."""
         u = stream.random(out=draws[: n * cols].reshape(n, cols))
-        row = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: n * cols].reshape(n, cols))
-        d = np.subtract(row[:, cols // 2 :], row[:, : cols // 2], out=row[:, cols // 2 :])
+        d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: n * cols].reshape(n, cols))
+        d -= centre
         return np.einsum("ij,ij->i", d, d)
 
     rng = _block_rng(seed, block)
     tail_rng = None
     successes = 0
     for start in range(0, rows, head_rows):
-        head = distances(rng, min(head_rows, rows - start), 2 * k)
+        head = distances(rng, min(head_rows, rows - start), k)
         # The tail adds squares and rounding is monotone, so a head beyond
         # the radius puts the whole row beyond it.
         survivors = head[head <= radius_sq]
@@ -337,11 +345,14 @@ def _attack_block(
 def measure_attack_success(
     params: SystemParams, radius: float, trials: int, seed: int, jobs: int = 1
 ) -> TrialBatch:
-    """Empirical success rate of the guessing attack against the ball of
+    """Empirical success rate of the centre guess against the ball of
     radius ``radius``.
 
-    The attack injects its guess noiselessly, so success is the exact
-    inequality sum((a_k - h_k)^2) <= radius^2 with no re-noising.  The
+    The guess a is the centre of a randomly signed cube of the admissible
+    set, or the origin when h_min = 0: the best single guess while the
+    ball fits in the set (Anderson, Proc. AMS 6, 1955).  The attack
+    injects it noiselessly, so success is the exact inequality
+    sum((a_k - h_k)^2) <= radius^2 with no re-noising.  The
     caller supplies the radius, ``ChannelGeometry.radius`` for the channel
     check under test.  Zero successes raise nothing: the caller judges the
     count.

@@ -103,27 +103,25 @@ class TestDeterminism:
 
 
 class TestChallengeDraw:
-    """The law of one attack trial: challenge h | guess a from 2F uniforms."""
+    """The law of one attack trial's challenge h, from F uniforms."""
 
     @staticmethod
     def draw(params, rng):
-        row = montecarlo._signed_amplitudes(rng.random(2 * params.F), params.h_min, params.h_max)
-        return row[: params.F], row[params.F :]
+        return montecarlo._signed_amplitudes(rng.random(params.F), params.h_min, params.h_max)
 
     def test_bounds_and_shapes(self):
         params = make(F=7)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            h, a = self.draw(params, rng)
-            assert h.shape == (7,) and a.shape == (7,)
-            for vec in (h, a):
-                mag = np.abs(vec)
-                assert np.all(mag >= params.h_min) and np.all(mag <= params.h_max)
+            h = self.draw(params, rng)
+            assert h.shape == (7,)
+            mag = np.abs(h)
+            assert np.all(mag >= params.h_min) and np.all(mag <= params.h_max)
 
     def test_signs_realized(self):
         params = make(F=100)
         rng = np.random.default_rng(1)
-        h, _ = self.draw(params, rng)
+        h = self.draw(params, rng)
         assert np.any(h < 0) and np.any(h > 0)
 
 
@@ -240,22 +238,25 @@ class TestAttackSuccess:
 
 
 def _whole_row_distances(rng, rows, F, h_min, h_max):
-    """Squared distances of the next ``rows`` rows of 2F uniforms of ``rng``,
-    each row transformed whole: h in the first F columns, a in the last F."""
-    row = montecarlo._signed_amplitudes(rng.random((rows, 2 * F)), h_min, h_max)
-    d = np.subtract(row[:, F:], row[:, :F], out=row[:, F:])
+    """Squared distances to the centre guess of the next ``rows`` rows of F
+    uniforms of ``rng``, each row a challenge h transformed whole.
+
+    The guess puts every coordinate at the centre h_min + (h_max - h_min)/2
+    of the positive cube, or at the origin when h_min = 0."""
+    h = montecarlo._signed_amplitudes(rng.random((rows, F)), h_min, h_max)
+    d = h - (h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0)
     return np.einsum("ij,ij->i", d, d)
 
 
 def _attack_distances(seed, rows, F, h_min, h_max, radius_sq):
-    """Block 0's row distances at ``radius_sq`` under version 5 of the stream
+    """Block 0's row distances at ``radius_sq`` under version 6 of the stream
     contract, assembled row by row.
 
-    Each row's head, k = min(F, HEAD_COLUMNS) coordinates of h and then k
-    of a, comes from the block's stream.  A row whose head distance is
-    within the radius adds the distance of its tail, the remaining
-    2(F - k) uniforms, drawn in row order from the block's child stream 1;
-    the other rows keep their head distance, which is beyond the radius.
+    Each row's head, k = min(F, HEAD_COLUMNS) coordinates of h, comes from
+    the block's stream.  A row whose head distance is within the radius
+    adds the distance of its tail, the remaining F - k coordinates, drawn
+    in row order from the block's child stream 1; the other rows keep their
+    head distance, which is beyond the radius.
     """
     k = min(F, montecarlo.HEAD_COLUMNS)
     dist = _whole_row_distances(montecarlo._block_rng(seed, 0), rows, k, h_min, h_max)
@@ -270,7 +271,7 @@ class TestHeadRejection:
     """The attack kernel draws a row's tail only when the row's head is
     within the radius; its counts must equal those of the rows the in-test
     reference assembles from head and tail, at every radius and tile size.
-    At F <= HEAD_COLUMNS a row is all head, the whole row of version 4."""
+    At F <= HEAD_COLUMNS a row is all head."""
 
     ROWS = {1000: 500}  # rows per block; 2000 at every other F
 
@@ -308,7 +309,7 @@ class TestHeadRejection:
 
     @pytest.mark.parametrize("F", [9, 10])
     def test_rows_whose_distance_is_all_in_the_head(self, F):
-        # With |h_k| = |a_k| = 1 every d_k^2 is 0 or 4 and every sum is exact,
+        # With |h_k| = 1 and the guess 1 every d_k^2 is 0 or 4 and every sum is exact,
         # so a row whose sign mismatches all fall in the head has a head
         # distance equal to its whole distance; at a radius equal to both it
         # must count.
@@ -323,14 +324,14 @@ class TestHeadRejection:
 
 class TestAttackLaw:
     """A row drawn as head and tail from two streams follows the law of a
-    whole row of 2F independent uniforms."""
+    whole row of F independent uniforms."""
 
     @pytest.mark.parametrize("F, rows", [(9, BLOCK_TRIALS), (100, BLOCK_TRIALS), (1000, 4096)])
     def test_kernel_matches_whole_row_estimate(self, F, rows):
-        # At h_min = 0 each d_k^2 = (a_k - h_k)^2 has mean 2/3 and variance
-        # 28/45; the normal approximation of their sum puts about 30% of
-        # rows within this radius.
-        radius_sq = F * 2.0 / 3.0 - 0.5244 * math.sqrt(F * 28.0 / 45.0)
+        # At h_min = 0 the guess is the origin, and each d_k^2 = h_k^2 has
+        # mean 1/3 and variance 4/45; the normal approximation of their sum
+        # puts about 30% of rows within this radius.
+        radius_sq = F / 3.0 - 0.5244 * math.sqrt(F * 4.0 / 45.0)
         kernel = montecarlo._attack_block(43, 0, rows, F, 0.0, 1.0, radius_sq)
         rng = np.random.default_rng(44)
         reference = sum(
@@ -350,29 +351,31 @@ PIN_TRIALS = 2 * BLOCK_TRIALS + 1000
 def _pinned_run(F, jobs=1):
     """Every count and moment of the seeded runs the stream contract pins.
 
-    h_min = 0 and sigma_h^2 = 0.6 put the attack success near 0.8 at F=100
-    and 0.2 at F=1000, so both counts move with any change of stream.
+    At h_min = 0 the attack guesses the origin, whose squared distance to
+    the challenge has mean F/3; a ball of that radius squared takes about
+    half the rows at every F, so every count moves with any change of
+    stream.
     """
-    params = make(F=F, h_min=0.0, pilot_count=1, lambda_B=1.0 / 0.6)
+    params = make(F=F, h_min=0.0)
     tau = channel.threshold_from_pfa(0.05, params.F)
     return (
         measure_false_alarm(params, tau, PIN_TRIALS, seed=21, jobs=jobs),
-        measure_attack_success(params, radius(params, tau), PIN_TRIALS, seed=22, jobs=jobs),
+        measure_attack_success(params, math.sqrt(F / 3.0), PIN_TRIALS, seed=22, jobs=jobs),
         simulate_pilot_estimation(1.0, 100.0, 10, PIN_TRIALS, seed=23, jobs=jobs),
     )
 
 
 class TestStreamContract:
-    """(seed, trials) -> result, pinned for version 5 of the stream contract."""
+    """(seed, trials) -> result, pinned for version 6 of the stream contract."""
 
     # F -> ((false-alarm successes, estimate), (attack successes, estimate))
     GOLDEN = {
-        100: ((1839, 0.05445984363894812), (27739, 0.8214581852641554)),
-        1000: ((1691, 0.050076995972518364), (6304, 0.18668561952144042)),
+        100: ((1839, 0.05445984363894812), (17085, 0.5059523809523809)),
+        1000: ((1691, 0.050076995972518364), (17046, 0.5047974413646056)),
     }
-    # F -> attack successes.  A row of at most HEAD_COLUMNS coordinates is
-    # all head, so these are the counts of version 4.
-    SMALL_F_ATTACK = {1: 30776, 2: 31112, 3: 31278, 8: 31148}
+    # F -> attack successes, where a row of at most HEAD_COLUMNS
+    # coordinates is all head and draws no tail.
+    SMALL_F_ATTACK = {1: 19427, 2: 17528, 3: 17587, 8: 17273}
     # The pilot run does not depend on F.
     PILOT_MOMENTS = (0.9999863526651794, 0.0009958132032588049)
 
@@ -388,7 +391,7 @@ class TestStreamContract:
         assert moments.variance == pytest.approx(variance, rel=1e-12)
 
     @pytest.mark.parametrize("F", sorted(SMALL_F_ATTACK))
-    def test_small_f_attack_is_version_4(self, F):
+    def test_small_f_attack_is_all_head(self, F):
         assert _pinned_run(F)[1].successes == self.SMALL_F_ATTACK[F]
 
     @pytest.mark.parametrize(
@@ -456,7 +459,7 @@ class TestSeedingPoint:
 
     def test_attack_tail_stream_only_where_a_head_survives(self, monkeypatch):
         # At F = 12 and tau = 0 the radius^2 is 12 sigma_h^2 = 0.4: about one
-        # row in 5000 keeps its head, so only some blocks draw tails.
+        # row in 2500 keeps its head, so only some blocks draw tails.
         params = make(F=12, h_min=0.0, pilot_count=1, lambda_B=30.0)
         radius_sq = 12 * channel.sigma_h_sq(params)
         with_tails = []
