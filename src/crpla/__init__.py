@@ -1,6 +1,10 @@
 """Security analysis for hybrid challenge-response physical-layer
 authentication: channel-geometry key bits, finite-blocklength coding key
 bits, their hybrid combination, and Monte Carlo validation of all three.
+
+The Monte Carlo names (``TrialBatch``, ``measure_false_alarm``, ...) are
+resolved on first use, so ``import crpla`` loads numpy's random module
+only when one of them is first looked up.
 """
 
 from .channel import (
@@ -22,13 +26,6 @@ from .hybrid import (
     evaluate,
     optimize,
 )
-from .montecarlo import (
-    EstimatorMoments,
-    TrialBatch,
-    measure_attack_success,
-    measure_false_alarm,
-    simulate_pilot_estimation,
-)
 from .params import (
     MECHANISMS,
     SecurityReport,
@@ -46,6 +43,24 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO_EXPORTS = frozenset(
+    {
+        "EstimatorMoments",
+        "TrialBatch",
+        "measure_attack_success",
+        "measure_false_alarm",
+        "simulate_pilot_estimation",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_EXPORTS:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ChannelGeometry",

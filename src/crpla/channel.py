@@ -53,9 +53,9 @@ class ChannelGeometry:
     """Acceptance-region geometry of the channel check.
 
     ``log2_p_succ`` is min(0, log2 V_sphere - log2 V_cubes); ``b_ch`` is
-    its negation.  ``radius`` satisfies radius**2 =
-    (sqrt(2F) * tau + F) * sigma_h_sq.  ``radius_over_fit`` is radius over
-    the largest radius at which the ball fits in the admissible set:
+    its negation.  ``radius`` satisfies radius**2 = max(sqrt(2F) * tau + F,
+    0) * sigma_h_sq.  ``radius_over_fit`` is radius over the largest radius
+    at which the ball fits in the admissible set:
     (h_max - h_min)/2 when h_min > 0, h_max when h_min = 0, and not finite
     at h_min = h_max; up to 1, ``b_ch`` is exact against the best single
     guess, and beyond it a lower bound.  The fields are floats for one
@@ -106,10 +106,11 @@ def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
 
 
 def chi_square_point(tau: float, F: int) -> float:
-    """The residual energy sqrt(2F) * tau + F at which the statistic meets
-    threshold ``tau``: the point on the chi-square law with F degrees of
-    freedom where the acceptance region ends."""
-    return math.sqrt(2.0 * F) * tau + F
+    """The residual energy max(sqrt(2F) * tau + F, 0) at which the statistic
+    meets threshold ``tau``: the point on the chi-square law with F degrees
+    of freedom where the acceptance region ends.  A threshold below
+    -sqrt(F/2) accepts no residual energy at all, so the point is 0."""
+    return max(math.sqrt(2.0 * F) * tau + F, 0.0)
 
 
 def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
@@ -150,8 +151,7 @@ def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeo
     F = params.F
     h_min = np.asarray(h_min, dtype=float)
     span = params.h_max - h_min
-    chi = chi_square_point(tau, F)
-    radius = (math.sqrt(chi) if chi > 0.0 else 0.0) * np.sqrt(var)
+    radius = math.sqrt(chi_square_point(tau, F)) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
     # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate rejects
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 from typing import Callable, Sequence
 
-from . import channel, hybrid, montecarlo, sweep
+from . import channel, hybrid, sweep
 from .errors import ConfigParseError, CrplaError, NumericError, ValidationError
 from .params import SystemParams, load_params, params_to_config
 from .specfun import chi_square_sf, q_function
@@ -212,6 +213,8 @@ def _simulate(
     params: SystemParams, trials: int, seed: int, jobs: int, exact: bool
 ) -> tuple[list[tuple], list[str]]:
     """The rows of :func:`simulate_rows` and a message for each WARN row."""
+    from . import montecarlo  # loads numpy.random, which no other command needs
+
     if params.pilot_count < 1:
         raise ConfigParseError("simulate needs pilot_count >= 1 for amplitude estimation")
     geometry = channel.equivalent_key_bits(params, params.p_FA, exact)
@@ -222,12 +225,18 @@ def _simulate(
     p_succ = 2.0 ** geometry.log2_p_succ
     warnings = []
     if attack.successes == 0 and p_succ * trials < 10.0:
-        log2_expected = geometry.log2_p_succ + math.log2(trials)
-        warnings.append(
-            f"no successes in {trials} trials while the analytic expectation is "
-            f"2^{log2_expected:.1f} successes; about "
-            f"2^{math.log2(10.0) - geometry.log2_p_succ:.1f} trials would resolve this setting"
-        )
+        if geometry.log2_p_succ == -math.inf:
+            warnings.append(
+                f"no successes in {trials} trials: the acceptance ball is empty, "
+                "so no number of trials resolves this setting"
+            )
+        else:
+            log2_expected = geometry.log2_p_succ + math.log2(trials)
+            warnings.append(
+                f"no successes in {trials} trials while the analytic expectation is "
+                f"2^{log2_expected:.1f} successes; about "
+                f"2^{math.log2(10.0) - geometry.log2_p_succ:.1f} trials would resolve this setting"
+            )
     moments = montecarlo.simulate_pilot_estimation(
         params.h_max, params.lambda_B, params.pilot_count, trials, seed + 2, jobs
     )
@@ -283,10 +292,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+# One parser per process: building it costs more than parsing with it.
+_process_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one CLI command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    ``main`` may be called repeatedly in one process.  The argument parser
+    is built on the first call and reused, so the default ``--jobs`` (the
+    CPUs the process may run on) is read once, when that parser is built.
+    Only ``simulate`` imports :mod:`crpla.montecarlo`, and with it numpy's
+    random module.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _process_parser().parse_args(argv)
         return args.run(args)
     except (ConfigParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Public API surface: every exported name resolves, the package's
 exports are pinned, so adding or dropping one is a deliberate edit here,
-and the runtime needs no scipy."""
+importing the package loads no Monte Carlo code, and the runtime needs
+no scipy."""
 
 import importlib
 import os
@@ -62,6 +63,32 @@ def test_every_export_resolves(name):
     exports = getattr(module, "__all__", ())
     assert [n for n in exports if not hasattr(module, n)] == []
     assert len(set(exports)) == len(exports)
+
+
+# Modules no import of the package may load: numpy.random waits for the
+# first Monte Carlo name, and the quadrature's nodes are literals.
+UNLOADED = ("crpla.montecarlo", "numpy.random", "numpy.polynomial")
+
+_LAZY_EXPORTS = """
+from crpla import TrialBatch
+import crpla
+print(TrialBatch.__module__, crpla.measure_false_alarm.__module__)
+"""
+
+
+@pytest.mark.parametrize("module", ["crpla", "crpla.cli"])
+def test_import_leaves_monte_carlo_unloaded(tmp_path, module):
+    code = f"import sys, {module}\nprint([m for m in {UNLOADED!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code + _LAZY_EXPORTS],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "crpla.montecarlo crpla.montecarlo"]
 
 
 # A fresh interpreter in which any import of scipy fails, as if it were not

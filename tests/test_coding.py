@@ -10,10 +10,6 @@ scratch scripted recomputation of the budget chain.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +23,6 @@ from crpla.specfun import q_inverse
 from quadrature_oracle import uniform_expectation
 
 LOG2E = 1.0 / math.log(2.0)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def make(**overrides):
@@ -214,21 +209,14 @@ class TestAmplitudeMoments:
 
 
 class TestGaussLegendreLiterals:
-    """The quadrature's nodes and weights are literals, not computed at import."""
+    """The quadrature's nodes and weights are literals, not computed at
+    import; ``tests/test_api.py`` checks that ``numpy.polynomial`` stays
+    unloaded."""
 
     def test_literals_are_leggauss_12(self):
         nodes, weights = np.polynomial.legendre.leggauss(12)
         assert np.array_equal(coding._GL_NODES, nodes)
         assert np.array_equal(coding._GL_WEIGHTS, weights)
-
-    def test_import_cli_leaves_numpy_polynomial_unloaded(self, tmp_path):
-        code = "import sys, crpla.cli; print('numpy.polynomial' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
 
 
 class TestAvgRateHybrid:

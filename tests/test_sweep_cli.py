@@ -313,10 +313,32 @@ class TestCli:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert cli._default_jobs() == 2
         assert cli.build_parser().parse_args(["simulate", "--config", "p.json"]).jobs == 2
+        # a second parser reads the CPUs again; a cached one would keep the 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+        assert cli.build_parser().parse_args(["simulate", "--config", "p.json"]).jobs == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli._default_jobs() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli._default_jobs() == 1
+
+    def test_main_reuses_its_parser_across_calls(self, tmp_path, capsys):
+        # one process runs simulate, a usage error, a sweep and --help,
+        # then the same simulate again: it prints what the first one did
+        # and what a fresh process prints
+        config = str(ROOT / "configs" / "validate_small_f.json")
+        simulate = ["simulate", "--config", config, "--trials", "2048", "--seed", "3", "--jobs", "1"]
+        first = cli.main(simulate), capsys.readouterr().out
+        assert cli.main(["analyze", "--bogus"]) == 1
+        spec = write_json(tmp_path / "s.json", spec_dict())
+        assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        again = cli.main(simulate), capsys.readouterr().out
+        fresh = _python(tmp_path, "-m", "crpla.cli", *simulate)
+        assert first[0] in (0, 3) and first[1].startswith("# 2048 trials per check, seed 3")
+        assert again == first == (fresh.returncode, fresh.stdout)
 
     def test_optimize_grid_csv(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "p.json", BASE_PARAMS)
@@ -521,6 +543,22 @@ class TestWarningLines:
         lines = _cli_stderr(tmp_path, *argv).splitlines()
         assert lines[0].startswith("warning: no successes in 2048 trials")
         assert len(lines) == 1
+
+    def test_simulate_at_an_empty_acceptance_ball(self, tmp_path):
+        # at F = 1 and p_FA = 0.9 the chi-square point sqrt(2F) tau + F is
+        # negative: the ball has radius 0, every legitimate message is
+        # rejected and no attack succeeds, however many trials run
+        config = write_json(tmp_path / "p.json", dict(BASE_PARAMS, F=1, p_FA=0.9, lambda_B_dB=20))
+        argv = ["simulate", "--config", config, "--trials", "2048", "--seed", "1", "--jobs", "1"]
+        result = _python(tmp_path, "-m", "crpla.cli", *argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (
+            "warning: no successes in 2048 trials: the acceptance ball is empty, "
+            "so no number of trials resolves this setting\n"
+        )
+        rows = {line.split()[0]: line.split() for line in result.stdout.splitlines()[2:]}
+        assert rows["false_alarm"][1:3] == ["1", "1"] and rows["false_alarm"][-1] == "PASS"
+        assert rows["attack_success"][1:3] == ["0", "0"] and rows["attack_success"][-1] == "WARN"
 
 
 class TestShippedConfigs:

@@ -18,17 +18,40 @@ analytic rate, over the counts whose verdict is FAIL.  Where the analytic
 attack rate is only an upper bound (beyond the fit radius), the count at
 that bound is an upper bound too.  For the band rows it is the nominal
 rate ``NOMINAL_RATE``.
+
+``--digest`` prints instead, per point and seed, the exit code of
+``crpla.cli.main simulate`` (``--jobs 1``) and one sha256 of its exit
+code, stdout and stderr.  Two trees give the same bytes at every seed
+when the outputs of the two runs do not differ::
+
+    PYTHONPATH=src python tests/verdict_survey.py --digest --trials 16384 \\
+        --seeds 1-300 high_snr_f100 high_snr_f1000 > digests.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 from crpla import channel, cli
 from crpla.montecarlo import wilson_interval
-from crpla.params import SystemParams, load_params
+from crpla.params import (
+    SystemParams,
+    load_params,
+    params_from_config,
+    params_to_config,
+    read_json_object,
+)
 from crpla.specfun import chi_square_sf
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Two-sided normal tail beyond 3 sigma.
 NOMINAL_RATE = math.erfc(3.0 / math.sqrt(2.0))
@@ -37,6 +60,9 @@ NOMINAL_RATE = math.erfc(3.0 / math.sqrt(2.0))
 # attack row.  ``clamp``: radius_over_fit 7.85 clamps the bound to 1, and
 # the origin guess succeeds at every trial.  ``beyond_fit``:
 # radius_over_fit 1.6, a bound of 0.68 over a centre-guess rate of 0.47.
+# ``high_snr_f100`` and ``high_snr_f1000``: the shipped point at F = 100
+# and F = 1000, the inputs of the Monte Carlo benchmark workloads.
+_HIGH_SNR = read_json_object(str(ROOT / "configs" / "point_high_snr.json"))
 POINTS = {
     "clamp": SystemParams(
         n=10, F=100, pilot_count=1, b_M=0, p_FA=0.05, lambda_B=2.0, lambda_T=2.0, h_min=0.0
@@ -44,6 +70,8 @@ POINTS = {
     "beyond_fit": SystemParams(
         n=10, F=8, pilot_count=1, b_M=0, p_FA=0.05, lambda_B=5.7, lambda_T=5.7, h_min=0.0
     ),
+    "high_snr_f100": params_from_config(dict(_HIGH_SNR, F=100)),
+    "high_snr_f1000": params_from_config(dict(_HIGH_SNR, F=1000)),
 }
 
 
@@ -54,6 +82,23 @@ def fail_counts(params: SystemParams, trials: int, seeds, exact: bool = False) -
         for check, *_, verdict in cli.simulate_rows(params, trials, seed, exact=exact):
             counts[check] = counts.get(check, 0) + (verdict == "FAIL")
     return counts
+
+
+def simulate_digests(params: SystemParams, trials: int, seeds, exact: bool = False):
+    """(seed, exit code, sha256 of exit code, stdout and stderr) of
+    ``cli.main simulate`` at each of ``seeds``, one job each."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "point.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(params_to_config(params), fh)
+        for seed in seeds:
+            argv = ["simulate", "--config", config, "--trials", str(trials), "--seed", str(seed)]
+            argv += ["--jobs", "1"] + (["--exact-threshold"] if exact else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            record = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
+            yield seed, code, hashlib.sha256(record).hexdigest()
 
 
 def _binomial_pmf(s: int, trials: int, p: float) -> float:
@@ -120,20 +165,29 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=2048, help="trials per check")
     parser.add_argument("--seeds", type=_seed_range, default=range(1, 301), help="e.g. 1-300")
     parser.add_argument("--exact-threshold", action="store_true")
+    parser.add_argument(
+        "--digest", action="store_true", help="print one output hash per seed, not FAIL counts"
+    )
     args = parser.parse_args()
+    points = [(name, POINTS.get(name) or load_params(name)) for name in args.configs]
+    if args.digest:
+        for name, params in points:
+            for seed, code, digest in simulate_digests(
+                params, args.trials, args.seeds, args.exact_threshold
+            ):
+                print(f"{name} seed {seed} exit {code} {digest}")
+        return
     limit = binomial_upper_bound(len(args.seeds), NOMINAL_RATE)
     print(
         f"# {args.trials} trials, seeds {args.seeds.start}-{args.seeds.stop - 1}; "
         f"1e-6 bound at the nominal rate: {limit} FAILs"
     )
-    for path in args.configs:
-        params = POINTS[path] if path in POINTS else load_params(path)
+    for name, params in points:
         fails = fail_counts(params, args.trials, args.seeds, args.exact_threshold)
         expected = expected_fails(params, args.trials, len(args.seeds), args.exact_threshold)
-        print(path)
+        print(name)
         for check, count in fails.items():
             print(f"  {check:<20}{count:>6} FAILs, {expected[check]:8.3f} expected")
-
 
 if __name__ == "__main__":
     main()
