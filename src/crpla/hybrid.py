@@ -21,6 +21,7 @@ externally pinned, since the endpoint lives at h_min = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -165,6 +166,17 @@ class GridCells:
                 yield self._cell(i, j, b_ch, b_key)
         if self.channel_only is not None:
             yield self.channel_only
+
+    def report_at(self, pilot_count: int, h_min: float) -> SecurityReport | None:
+        """The report of the cell at ``pilot_count`` and ``h_min``, or None
+        when the grid has no such cell.  Floats match exactly, down to the
+        sign of a zero."""
+        if pilot_count in self.pilot_counts:
+            i = self.pilot_counts.index(pilot_count)
+            for j, h in enumerate(self.h_min_values):
+                if h == h_min and math.copysign(1.0, h) == math.copysign(1.0, h_min):
+                    return self._cell(i, j, float(self.b_ch[i, j]), float(self.b_key[i, j]))
+        return None
 
     def best(self) -> SecurityReport:
         """The maximum of (b_tot, -alpha, h_min): ties prefer fewer pilots,

@@ -43,7 +43,10 @@ Draw order inside a block (one row per trial, rows in trial order):
   beyond the radius decides the row exactly;
 * pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
   from child stream 0, and 2 * pilot_count standard normals, the real
-  then the imaginary noise parts, from child stream 1.
+  then the imaginary noise parts, from child stream 1.  A pilot's
+  estimate is computed as h + w_r cos(theta) + w_i sin(theta), which is
+  Re(y/x) for the unit-modulus pilot x = exp(i theta), and a row averages
+  its pilots; no symbol is formed or divided.
 
 The attack and pilot kernels walk their block in row tiles of at most
 ``TILE_BYTES`` of draws.  A tile takes the next rows of each stream, so
@@ -54,8 +57,8 @@ worker stays bounded as F and pilot_count grow.
 This is version 6 of the reproducibility contract; its results are
 pinned by ``tests/test_montecarlo.py::TestStreamContract``.  The gamma
 sampler behind ``chisquare`` calls the platform's ``log`` (and ``pow`` at
-F = 1), so a false-alarm count, like a pilot moment through ``exp``, can
-differ where libm rounds differently.
+F = 1), so a false-alarm count, like a pilot moment through ``cos`` and
+``sin``, can differ where libm rounds differently.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ BLOCK_TRIALS = 1 << 14
 # Draws held at once per block by the attack and pilot kernels; the
 # attack's amplitudes add as much again, so its working set stays within a
 # 2 MiB per-core L2 cache.  Attack head tiles take an eighth of it.  The
-# pilot kernel's phases and complex symbols add 2.5 tiles.  The
-# false-alarm kernel draws one value per row and walks no tiles.
+# pilot kernel's phases and their cosines add one tile.  The false-alarm
+# kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
 # Coordinates of h in an attack row's head; a row whose head is already
 # outside the radius draws no tail.
@@ -208,24 +211,21 @@ def _pilot_block(
     noise_rng = _block_rng(seed, block, 1)
     noise = np.empty((_tile_rows(rows, 2 * pilots), 2 * pilots))  # real | imaginary parts
     phase = np.empty((len(noise), pilots))
-    x = np.empty(phase.shape, dtype=complex)  # unit-modulus pilots
-    y = np.empty_like(x)  # received symbols h x + w
-    estimates = np.empty(rows)
+    cos = np.empty_like(phase)
+    # Each row's estimate less h, the mean of Re(y/x) - h = w_r cos(theta)
+    # + w_i sin(theta) over its pilots: accumulating around the known
+    # center h keeps the sum of squares from cancelling once the noise is
+    # much smaller than h.
+    deviations = np.empty(rows)
     for start in range(0, rows, len(noise)):
         w = noise_rng.standard_normal(out=noise[: rows - start])
         w *= sigma_b
         tile = len(w)
-        sent = np.multiply(phase_rng.random(out=phase[:tile]), 2j * math.pi, out=x[:tile])
-        np.exp(sent, out=sent)
-        received = np.multiply(sent, h, out=y[:tile])
-        received.real += w[:, :pilots]
-        received.imag += w[:, pilots:]
-        received /= sent
-        np.mean(received.real, axis=1, out=estimates[start : start + tile])
-    # Accumulate around the known center h: the raw sum of squares would
-    # cancel catastrophically once the noise is much smaller than h.
-    estimates -= h
-    return float(np.sum(estimates)), float(np.sum(estimates * estimates))
+        theta = np.multiply(phase_rng.random(out=phase[:tile]), 2.0 * math.pi, out=phase[:tile])
+        terms = np.multiply(w[:, :pilots], np.cos(theta, out=cos[:tile]), out=cos[:tile])
+        terms += np.multiply(w[:, pilots:], np.sin(theta, out=theta), out=theta)
+        np.mean(terms, axis=1, out=deviations[start : start + tile])
+    return float(np.sum(deviations)), float(np.sum(deviations * deviations))
 
 
 def simulate_pilot_estimation(
@@ -240,7 +240,10 @@ def simulate_pilot_estimation(
 
     Each trial transmits ``pilot_count`` unit-modulus random-phase pilots
     through amplitude ``h`` plus complex Gaussian noise and averages the
-    real part of y/x.  The noise is drawn with per-quadrature variance
+    real part of y/x.  It is computed as h + w_r cos(theta) + w_i sin(theta)
+    for the pilot x = exp(i theta) and the noise w = w_r + i w_i, which
+    equals Re(y/x) when |x| = 1, from the same draws.  The noise is drawn
+    with per-quadrature variance
     1/lambda_B, which makes the estimate exactly N(h, 1/(lambda_B *
     pilot_count)); the sample moments returned let callers verify that
     law.  Unit-modulus pilots (rather than Gaussian ones) avoid the

@@ -2,12 +2,14 @@
 
 Each case runs the CLI in-process at ``--jobs 1`` and pins the sha256 of
 what it writes: the sweep CSVs, the optimizer's full grid dump, the
-human-readable ``analyze`` report and the ``analyze --out`` JSON document
-with both thresholds.  A refactor that changes any of these
-bytes changes the program's output and must say so.
+human-readable ``analyze`` report, the ``analyze --out`` JSON document
+with both thresholds, and the exit code, stdout and stderr of ``simulate``
+at the benchmark's Monte Carlo inputs.  A refactor that changes any of
+these bytes changes the program's output and must say so.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,12 @@ ANALYZE_JSON = {
     ("point_high_snr.json", True): "785d5366e6128d24942e09c8468a0e8befc0be8649dca84dc26b4492b9a3bbbf",
     ("validate_small_f.json", False): "50d9773f2bb9df45b329df61ef9d02478a26e384e65d37057ed45484c3cae13d",
     ("validate_small_f.json", True): "ef0db35a30f68b74cd253cc08e53defb2f801849ba1a03cff7ff17e15ac9c489",
+}
+# point_high_snr with F replaced, 2**14 trials per check, seed 1, as the
+# mc_f100 and mc_f1000 benchmark workloads run it
+SIMULATE = {
+    100: "7d92fff77abb64b3352dbc1724a0cbd90a028d9a647cf8246f4c85a45bffdb3b",
+    1000: "3e94e8978dac5ed90ed0eb15c4c9943f10b3a616ac90fe210f43d4c1b00d5a0c",
 }
 
 
@@ -68,3 +76,15 @@ def test_analyze_json(name, exact, tmp_path):
     argv = ["analyze", "--config", str(CONFIGS / name), "--quiet", "--out", str(out)]
     assert cli.main(argv + ["--exact-threshold"] * exact) == 0
     assert sha256(out.read_bytes()) == ANALYZE_JSON[(name, exact)]
+
+
+@pytest.mark.parametrize("F", sorted(SIMULATE))
+def test_simulate(F, tmp_path, capsys):
+    point = dict(json.loads((CONFIGS / "point_high_snr.json").read_text()), F=F)
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps(point))
+    argv = ["simulate", "--config", str(config), "--trials", "16384", "--seed", "1", "--jobs", "1"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    printed = json.dumps([code, captured.out, captured.err])
+    assert sha256(printed.encode("utf-8")) == SIMULATE[F]

@@ -384,7 +384,7 @@ class TestStreamContract:
         false_alarm, attack, moments = _pinned_run(F)
         assert (false_alarm.successes, false_alarm.estimate) == self.GOLDEN[F][0]
         assert (attack.successes, attack.estimate) == self.GOLDEN[F][1]
-        # libm may round an exp differently on another platform; a changed
+        # libm may round a cos or sin differently on another platform; a changed
         # stream moves the mean by about 2e-4.
         mean, variance = self.PILOT_MOMENTS
         assert moments.mean == pytest.approx(mean, rel=1e-12)

@@ -15,6 +15,7 @@ from crpla.params import params_from_config
 from crpla.sweep import (
     SweepSpec,
     apply_swept_value,
+    evaluate_point,
     load_sweep_spec,
     run_sweep,
     write_csv,
@@ -128,6 +129,61 @@ class TestRunSweep:
         *labels, b_tot = optimum
         assert (opt.mechanism, opt.alpha_used, opt.h_min_used) == tuple(labels)
         assert opt.b_tot == pytest.approx(b_tot, abs=5e-4)
+
+    # h_min = -0.0 passes validation, and its row prints h_min_used as -0
+    @pytest.mark.parametrize(
+        "h_min", [0.9, 0.905, -0.0], ids=["on_grid", "off_grid", "negative_zero"]
+    )
+    @pytest.mark.parametrize(
+        "variable, values",
+        [
+            ("h_min", None),  # the swept value is the configured h_min
+            ("lambda_ratio", (0.05, 0.3, 0.95)),
+            ("lambda_B_dB", (10.0, 33.3, 50.0)),
+            ("F", (2.0, 100.0)),
+            ("alpha", (0.1, 0.5, 0.9)),
+        ],
+    )
+    def test_hybrid_row_is_the_single_point_report(self, variable, values, h_min):
+        params = params_from_config(dict(BASE_PARAMS, h_min=h_min))
+        spec = SweepSpec(
+            variable=variable,
+            values=values or (h_min,),
+            mechanisms=("CH", "HYBRID", "CD", "HYBRID_OPT"),
+            params=params,
+        )
+        rows = [(v, report) for v, label, report in run_sweep(spec) if label == "HYBRID"]
+        assert len(rows) == len(spec.values)
+        for value, report in rows:
+            direct = hybrid.evaluate(apply_swept_value(params, variable, value), "HYBRID").report
+            assert repr(report) == repr(direct)
+
+    @pytest.mark.parametrize(
+        "mechanisms, h_min, calls",
+        [
+            (("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.9, 1),
+            (("HYBRID_OPT", "CD", "HYBRID"), 0.9, 1),
+            (("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.905, 2),
+            (("CH", "CD", "HYBRID"), 0.9, 1),
+            (("CH", "CD", "HYBRID_OPT"), 0.9, 1),
+        ],
+        ids=["on_grid", "opt_first", "off_grid", "hybrid_alone", "opt_alone"],
+    )
+    def test_hybrid_checks_run_once_per_point_on_the_grid(
+        self, monkeypatch, mechanisms, h_min, calls
+    ):
+        # one call evaluates a whole grid or one cell; CH and CD make none
+        count = []
+        checks = hybrid._hybrid_checks
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return checks(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "_hybrid_checks", counting)
+        params = params_from_config(dict(BASE_PARAMS, h_min=h_min))
+        evaluate_point(params, "lambda_B_dB", 40.0, mechanisms, exact_threshold=False)
+        assert len(count) == calls
 
     @pytest.mark.parametrize(
         "variable, values, field",
@@ -400,6 +456,52 @@ class TestInputErrors:
         argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
         assert cli.main(argv) == 1
         assert "lambda_B_dB" in _one_line_error(capsys)
+
+    _NO_PILOTS = "error: hybrid needs 1 <= pilot_count <= n-1, got 0 of n=10\n"
+    _CH_RADIUS_0 = "numeric failure: CH key bits are not finite at this operating point\n"
+    _HYBRID_OVERFLOW = "numeric failure: HYBRID key bits are not finite at this operating point\n"
+    _F1 = dict(F=1, p_FA=0.9)  # a radius-0 channel-only sphere: CH and the grid fail
+    _F1_HUGE = dict(_F1, h_max=1e152, h_min=9e151)  # the HYBRID cell overflows as well
+
+    @pytest.mark.parametrize(
+        "variable, values, params, mechanisms, code, message",
+        [
+            ("h_min", [0.9], dict(alpha=0.0), ["HYBRID", "HYBRID_OPT"], 1, _NO_PILOTS),
+            ("alpha", [0.0], {}, ["HYBRID", "HYBRID_OPT"], 1, _NO_PILOTS),
+            ("lambda_B_dB", [50], dict(_F1, alpha=0.0), ["HYBRID", "HYBRID_OPT"], 1, _NO_PILOTS),
+            ("lambda_B_dB", [50], _F1, ["HYBRID", "HYBRID_OPT"], 2, _CH_RADIUS_0),
+            ("lambda_B_dB", [50], _F1, ["HYBRID_OPT", "HYBRID"], 2, _CH_RADIUS_0),
+            ("lambda_B_dB", [50], _F1_HUGE, ["HYBRID", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
+            ("lambda_B_dB", [50], _F1_HUGE, ["HYBRID_OPT", "HYBRID"], 2, _CH_RADIUS_0),
+            # the default h_min grid's last point, 100 * 0.007 / 100, rounds
+            # above h_max, so the grid fails on its own range check; the CH
+            # row listed before HYBRID_OPT still fails first
+            (
+                "lambda_B_dB", [50], dict(_F1, h_max=0.007, h_min=0.0063),
+                ["HYBRID", "CH", "HYBRID_OPT"], 2, _CH_RADIUS_0,
+            ),
+        ],
+        ids=[
+            "no_pilots", "alpha_swept_to_0", "no_pilots_before_ch", "ch_radius_0",
+            "opt_first", "hybrid_overflow_before_ch", "ch_before_hybrid_overflow",
+            "ch_between",
+        ],
+    )  # fmt: skip
+    def test_hybrid_rows_fail_in_list_order(
+        self, tmp_path, capsys, variable, values, params, mechanisms, code, message
+    ):
+        # a failing HYBRID or HYBRID_OPT row reports the error it would
+        # report were each row evaluated on its own, in list order
+        spec = spec_dict(
+            sweep={"variable": variable, "values": values},
+            mechanisms=mechanisms,
+            params=dict(BASE_PARAMS, **params),
+        )
+        path = write_json(tmp_path / "s.json", spec)
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o.csv").exists()
 
     def test_cd_report_finite_near_float_limit(self, tmp_path, capsys):
         # (S + 1)^2 would overflow a float at these SNRs; the CD dispersion must not
