@@ -21,7 +21,6 @@ externally pinned, since the endpoint lives at h_min = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,7 +48,7 @@ class OptimizationGrid:
     """Search space for :func:`optimize`.
 
     ``pilot_counts`` defaults to every interior count 1..n-1 and
-    ``h_min_values`` to 101 uniform points on [0, h_max].
+    ``h_min_values`` to the 101 points min(i * h_max / 100, h_max).
     """
 
     pilot_counts: tuple[int, ...] | None = None
@@ -66,7 +65,7 @@ class OptimizationGrid:
             raise InvalidPilotCount(f"pilot counts must lie in 1..{params.n - 1}: {pilots}")
         h_values = self.h_min_values
         if h_values is None:
-            h_values = tuple(i * params.h_max / 100.0 for i in range(101))
+            h_values = tuple(min(i * params.h_max / 100.0, params.h_max) for i in range(101))
         if not h_values:
             raise InvalidRange("empty h_min grid")
         if any(not 0.0 <= h <= params.h_max for h in h_values):
@@ -146,7 +145,8 @@ class GridCells:
 
     ``b_ch`` and ``b_key`` are arrays with one row per pilot count and one
     column per h_min value.  Iterating yields the report of every cell,
-    pilot-major, then the channel-only candidate when there is one.
+    pilot-major, then the channel-only candidate when there is one;
+    ``report`` gives a sweep every row the grid holds.
     """
 
     params: SystemParams
@@ -167,16 +167,22 @@ class GridCells:
         if self.channel_only is not None:
             yield self.channel_only
 
-    def report_at(self, pilot_count: int, h_min: float) -> SecurityReport | None:
-        """The report of the cell at ``pilot_count`` and ``h_min``, or None
-        when the grid has no such cell.  Floats match exactly, down to the
-        sign of a zero."""
-        if pilot_count in self.pilot_counts:
-            i = self.pilot_counts.index(pilot_count)
-            for j, h in enumerate(self.h_min_values):
-                if h == h_min and math.copysign(1.0, h) == math.copysign(1.0, h_min):
-                    return self._cell(i, j, float(self.b_ch[i, j]), float(self.b_key[i, j]))
-        return None
+    def report(self, mechanism: str) -> SecurityReport | None:
+        """The grid's report of ``mechanism`` at its own operating point, or
+        None when it holds none: HYBRID_OPT is the optimum, CH the
+        channel-only candidate, HYBRID the cell at the configured pilot
+        count and h_min, labelled with the configured alpha and h_min."""
+        if mechanism == "HYBRID_OPT":
+            return self.best()
+        if mechanism == "CH":
+            return self.channel_only
+        p = self.params
+        on_grid = p.pilot_count in self.pilot_counts and p.h_min in self.h_min_values
+        if mechanism != "HYBRID" or not on_grid:
+            return None
+        i, j = self.pilot_counts.index(p.pilot_count), self.h_min_values.index(p.h_min)
+        b_ch, b_key = float(self.b_ch[i, j]), float(self.b_key[i, j])
+        return SecurityReport("HYBRID", b_ch, b_key, p.alpha, p.h_min)
 
     def best(self) -> SecurityReport:
         """The maximum of (b_tot, -alpha, h_min): ties prefer fewer pilots,

@@ -13,12 +13,12 @@ A sweep spec is a JSON object::
 Sweeping lambda_B_dB preserves the configured attacker/legitimate SNR
 ratio.  HYBRID rows evaluate the configured pilot split and h_min;
 HYBRID_OPT rows run the optimizer per point, with the swept dimension
-pinned when it is itself a search dimension (h_min or alpha).  With both
-requested, a point evaluates the optimizer grid once: a HYBRID row whose
-split is a grid cell is that cell, which has the same bits as the
+pinned when it is itself a search dimension (h_min or alpha).  A point
+with a HYBRID_OPT row evaluates the optimizer grid once, and every other
+row reads the report the grid holds: CH the channel-only candidate, HYBRID
+the cell at the configured split, which has the same bits as the
 single-point ``hybrid.evaluate`` (``TestGridMatchesScalarPath`` in
-tests/test_hybrid.py), and any other HYBRID row is a single-point
-evaluation.
+tests/test_hybrid.py).  Any other row is a single-point evaluation.
 
 CSV rows appear in (value, mechanism) input order with columns
 swept_var, value, mechanism, alpha_used, h_min_used, b_ch, b_key, b_tot;
@@ -140,41 +140,34 @@ def evaluate_point(
 ) -> list[SecurityReport]:
     """All requested mechanism reports at one swept value.
 
-    With HYBRID_OPT requested, its grid is evaluated once, at the first
-    HYBRID or HYBRID_OPT row, and a HYBRID row whose configured split is a
-    grid cell reads that cell.  An error from the grid is raised at the
-    HYBRID_OPT row, so a failing point reports the error that evaluating
-    the rows one by one, in list order, would report first.
+    With HYBRID_OPT requested, its grid is evaluated once, before the rows,
+    and each row takes ``GridCells.report`` when the grid holds one.  An
+    error from the grid is raised at the HYBRID_OPT row, so a failing
+    point reports the error that evaluating the rows one by one, in list
+    order, would report first.
     """
     point = apply_swept_value(params, variable, value)
     cells: hybrid.GridCells | CrplaError | None = None
+    if "HYBRID_OPT" in mechanisms:
+        try:
+            cells = hybrid.evaluate_grid(point, _opt_grid(point, variable), exact_threshold)
+        except CrplaError as exc:
+            cells = exc
     reports: list[SecurityReport] = []
     for mechanism in mechanisms:
-        if cells is None and "HYBRID_OPT" in mechanisms and mechanism in ("HYBRID", "HYBRID_OPT"):
-            try:
-                cells = hybrid.evaluate_grid(point, _opt_grid(point, variable), exact_threshold)
-            except CrplaError as exc:
-                cells = exc
-        if mechanism == "HYBRID_OPT":
-            if isinstance(cells, CrplaError):
-                raise cells
-            # The optimum may saturate to a baseline report; the row is
-            # still labeled with the requested mechanism.
-            reports.append(cells.best())
-            continue
-        report = None
-        if mechanism == "HYBRID" and isinstance(cells, hybrid.GridCells):
-            report = cells.report_at(point.pilot_count, point.h_min)
-        if report is None:
-            report = hybrid.evaluate(point, mechanism, exact_threshold).report
-        reports.append(report)
+        if mechanism == "HYBRID_OPT" and isinstance(cells, CrplaError):
+            raise cells
+        report = cells.report(mechanism) if isinstance(cells, hybrid.GridCells) else None
+        reports.append(report or hybrid.evaluate(point, mechanism, exact_threshold).report)
     return reports
 
 
 def run_sweep(
     spec: SweepSpec, exact_threshold: bool = False
 ) -> list[tuple[float, str, SecurityReport]]:
-    """Evaluate the whole sweep; rows come back in input order."""
+    """Evaluate the whole sweep; rows come back in input order, labelled
+    with the requested mechanism even where the HYBRID_OPT optimum
+    saturates to a baseline report."""
     rows: list[tuple[float, str, SecurityReport]] = []
     for value in spec.values:
         reports = evaluate_point(

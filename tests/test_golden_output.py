@@ -1,7 +1,8 @@
 """Golden outputs: the shipped configs must keep producing the same bytes.
 
 Each case runs the CLI in-process at ``--jobs 1`` and pins the sha256 of
-what it writes: the sweep CSVs, the optimizer's full grid dump, the
+what it writes: the sweep CSVs of the shipped specs and of two specs built
+here, the optimizer's full grid dump, the
 human-readable ``analyze`` report, the ``analyze --out`` JSON document
 with both thresholds, and the exit code, stdout and stderr of ``simulate``
 at the benchmark's Monte Carlo inputs.  A refactor that changes any of
@@ -21,6 +22,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SWEEP_CSV = {
     "sweep_hmin.json": "bb8919c176c107a8db25d3ba1b5001d2f0491ff8c1592dc55c33c2a5e0780a8a",
     "sweep_snr_ratio.json": "7e460b0b45271be8891e29b03959a64073b50c8f0056c6e14f775995e119c488",
+}
+# Sweeps on point_high_snr's parameters that no shipped spec covers: a
+# lambda_B_dB curve listing all four mechanisms over the free optimizer
+# grid, the row shape of the opt_map_cold benchmark workload (its optimum
+# moves from the grid to the channel-only endpoint), and an alpha sweep at
+# h_min = -0.0, whose HYBRID rows print h_min_used as -0.
+SPEC_CSV = {
+    "map_curve": (
+        {"variable": "lambda_B_dB", "values": [12.5, 30.0, 50.0]},
+        {"lambda_T_over_lambda_B": 0.55},
+        "e8976ddfd63ea9d18dd7879783573c8ecc5f5f9d3db7c18ae98ac0289ce3b3b6",
+    ),
+    "alpha_at_negative_zero_h_min": (
+        {"variable": "alpha", "values": [0.1, 0.5, 0.9]},
+        {"h_min": -0.0},
+        "06f12d0fae8c169ac0cb834c7dd3e0ffc64a90a66cfc33edc9a19eaa7437580b",
+    ),
 }
 GRID_CSV = {
     "point_high_snr.json": "77a2e6150904405d53a83692e773988230d059307a9ff287703d06728d7221f3",
@@ -54,6 +72,18 @@ def test_sweep_csv(name, tmp_path):
     argv = ["sweep", "--config", str(CONFIGS / name), "--out", str(out), "--jobs", "1"]
     assert cli.main(argv) == 0
     assert sha256(out.read_bytes()) == SWEEP_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_CSV))
+def test_spec_csv(name, tmp_path):
+    sweep, overrides, digest = SPEC_CSV[name]
+    params = dict(json.loads((CONFIGS / "point_high_snr.json").read_text()), **overrides)
+    spec = {"sweep": sweep, "mechanisms": ["CH", "CD", "HYBRID", "HYBRID_OPT"], "params": params}
+    config, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    config.write_text(json.dumps(spec))
+    argv = ["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    assert sha256(out.read_bytes()) == digest
 
 
 @pytest.mark.parametrize("name", sorted(GRID_CSV))

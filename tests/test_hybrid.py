@@ -138,9 +138,15 @@ class TestOptimizationGrid:
     def test_defaults_resolve(self):
         pilots, h_values = OptimizationGrid().resolve(make())
         assert pilots == tuple(range(1, 10))
-        assert len(h_values) == 101
-        assert h_values[0] == 0.0
-        assert h_values[-1] == 1.0
+        assert h_values == tuple(i / 100 for i in range(101))
+
+    @pytest.mark.parametrize("h_max", [0.007, 0.013, 0.029])
+    def test_default_h_min_grid_ends_at_h_max(self, h_max):
+        assert 100 * h_max / 100.0 > h_max  # the unclamped last point
+        params = make(h_max=h_max, h_min=0.9 * h_max)
+        _, h_values = OptimizationGrid().resolve(params)
+        assert h_values[-1] == max(h_values) == h_max
+        assert 0.0 <= optimize(params).h_min_used <= h_max
 
     def test_rejects_bad_pilots(self):
         with pytest.raises(InvalidPilotCount):

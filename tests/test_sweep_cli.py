@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from sweep_digest import map_digests
 
-from crpla import cli, hybrid
+from crpla import channel, cli, hybrid
 from crpla.errors import ConfigParseError
 from crpla.params import params_from_config
 from crpla.sweep import (
@@ -159,31 +160,40 @@ class TestRunSweep:
             assert repr(report) == repr(direct)
 
     @pytest.mark.parametrize(
-        "mechanisms, h_min, calls",
+        "variable, value, mechanisms, h_min, checks",
         [
-            (("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.9, 1),
-            (("HYBRID_OPT", "CD", "HYBRID"), 0.9, 1),
-            (("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.905, 2),
-            (("CH", "CD", "HYBRID"), 0.9, 1),
-            (("CH", "CD", "HYBRID_OPT"), 0.9, 1),
+            ("lambda_B_dB", 40.0, ("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.9, 1),
+            ("lambda_B_dB", 40.0, ("HYBRID_OPT", "CD", "HYBRID"), 0.9, 1),
+            ("lambda_B_dB", 40.0, ("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.905, 2),
+            ("lambda_B_dB", 40.0, ("CH", "CD", "HYBRID"), 0.9, 1),
+            ("lambda_B_dB", 40.0, ("CH", "CD", "HYBRID_OPT"), 0.9, 1),
+            ("h_min", 0.9, ("CH", "CD", "HYBRID", "HYBRID_OPT"), 0.9, 1),
         ],
-        ids=["on_grid", "opt_first", "off_grid", "hybrid_alone", "opt_alone"],
+        ids=["on_grid", "opt_first", "off_grid", "hybrid_alone", "opt_alone", "h_min_pinned"],
     )
     def test_hybrid_checks_run_once_per_point_on_the_grid(
-        self, monkeypatch, mechanisms, h_min, calls
+        self, monkeypatch, variable, value, mechanisms, h_min, checks
     ):
-        # one call evaluates a whole grid or one cell; CH and CD make none
-        count = []
-        checks = hybrid._hybrid_checks
+        # one _hybrid_checks call evaluates a whole grid or one cell, CH and
+        # CD make none; the channel is evaluated once, for the CH row or the
+        # grid's channel-only candidate, and a pinned (h_min) search has no
+        # such candidate, so there its CH row is a single-point evaluation
+        counts = {"_hybrid_checks": 0, "equivalent_key_bits": 0}
 
-        def counting(*args, **kwargs):
-            count.append(1)
-            return checks(*args, **kwargs)
+        def counting(module, name):
+            function = getattr(module, name)
 
-        monkeypatch.setattr(hybrid, "_hybrid_checks", counting)
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(hybrid, "_hybrid_checks")
+        counting(channel, "equivalent_key_bits")
         params = params_from_config(dict(BASE_PARAMS, h_min=h_min))
-        evaluate_point(params, "lambda_B_dB", 40.0, mechanisms, exact_threshold=False)
-        assert len(count) == calls
+        evaluate_point(params, variable, value, mechanisms, exact_threshold=False)
+        assert counts == {"_hybrid_checks": checks, "equivalent_key_bits": 1}
 
     @pytest.mark.parametrize(
         "variable, values, field",
@@ -473,9 +483,9 @@ class TestInputErrors:
             ("lambda_B_dB", [50], _F1, ["HYBRID_OPT", "HYBRID"], 2, _CH_RADIUS_0),
             ("lambda_B_dB", [50], _F1_HUGE, ["HYBRID", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
             ("lambda_B_dB", [50], _F1_HUGE, ["HYBRID_OPT", "HYBRID"], 2, _CH_RADIUS_0),
-            # the default h_min grid's last point, 100 * 0.007 / 100, rounds
-            # above h_max, so the grid fails on its own range check; the CH
-            # row listed before HYBRID_OPT still fails first
+            # the default h_min grid ends at h_max = 0.007, and the grid fails
+            # at its channel-only endpoint; the CH row, listed before
+            # HYBRID_OPT, reports that error first
             (
                 "lambda_B_dB", [50], dict(_F1, h_max=0.007, h_min=0.0063),
                 ["HYBRID", "CH", "HYBRID_OPT"], 2, _CH_RADIUS_0,
@@ -694,3 +704,10 @@ class TestShippedConfigs:
         )
         rows = run_sweep(trimmed)
         assert len(rows) == len(spec.mechanisms)
+
+
+def test_sweep_digest_hashes_every_map_curve():
+    # tests/sweep_digest.py: one CSV hash per curve of the benchmark map
+    digests = map_digests(range(1, 2))
+    assert len(digests) == 128
+    assert all(len(digest) == 64 for _seed, _curve, digest in digests)
