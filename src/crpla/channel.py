@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidPilotCount
-from .params import SystemParams
+from .params import PointGroup, SystemParams
 from .specfun import chi_square_isf, log_gamma, q_inverse
 
 __all__ = [
@@ -75,16 +75,16 @@ class ChannelGeometry:
         return -self.log2_p_succ + 0.0  # normalizes -0.0 at the clamp
 
 
-def sigma_h_sq(params: SystemParams, pilot_count=None):
+def sigma_h_sq(params: SystemParams | PointGroup, pilot_count=None):
     """Variance of the per-frame amplitude estimator, 1 / (lambda_B * pilots).
 
     ``pilot_count`` defaults to the configured count; an array gives one
-    variance per count.
+    variance per count, and a PointGroup adds a leading points axis.
     """
     pilots = params.pilot_count if pilot_count is None else pilot_count
     if np.any(np.less(pilots, 1)):
         raise InvalidPilotCount("amplitude estimation needs at least one pilot per frame")
-    return 1.0 / (params.lambda_B * pilots)
+    return 1.0 / (params.stack([p.lambda_B for p in params.points], pilots) * pilots)
 
 
 def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
@@ -134,27 +134,33 @@ def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
     return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
 
 
-def geometry(params: SystemParams, tau: float, pilot_count, h_min) -> ChannelGeometry:
+def geometry(
+    params: SystemParams | PointGroup, tau: float, pilot_count, h_min
+) -> ChannelGeometry:
     """Acceptance-region geometry at threshold ``tau`` for each pilot count
     and h_min.
 
     ``pilot_count`` and ``h_min`` broadcast against each other like numpy
     arrays: a column of counts and a row of h_min values give one cell per
-    pair, and two scalars give numpy scalars.
+    pair, and two scalars give numpy scalars.  A PointGroup puts a leading
+    points axis before those cells on every field that depends on lambda_B.
 
     log2_p_succ = min(0, F * log2(sqrt(pi) * radius / (2 (h_max - h_min)))
     - log2 Gamma(F/2 + 1)), never materializing the volumes themselves.  A
     zero-width amplitude interval means no challenge randomness at all; by
     convention the attack then succeeds freely (log2_p_succ = 0, b_ch = 0).
     """
-    var = sigma_h_sq(params, pilot_count)
-    F = params.F
     h_min = np.asarray(h_min, dtype=float)
+    if h_min.ndim and np.ndim(pilot_count) < h_min.ndim:  # a group's points axis leads them all
+        pilot_count = np.expand_dims(pilot_count, tuple(range(h_min.ndim - np.ndim(pilot_count))))
+    F = params.F
     span = params.h_max - h_min
-    radius = math.sqrt(chi_square_point(tau, F)) * np.sqrt(var)
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
-    # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate rejects
+    # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate
+    # rejects, or in an infinite estimator variance, whose ball admits every guess
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        var = sigma_h_sq(params, pilot_count)
+        radius = math.sqrt(chi_square_point(tau, F)) * np.sqrt(var)
         log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * np.log2(radius) - log2_gamma_term
         log2_v_cube = F * (1.0 + np.log2(span))
         per_frame = np.log2(math.sqrt(math.pi) * radius / (2.0 * span))

@@ -17,7 +17,8 @@ uniform on [h_min, h_max] need no run-time quadrature: the two means
 have elementary antiderivatives and the variance is a fixed-order
 Gauss-Legendre sum (see ``_amplitude_moments``).  ``hybrid_rates``
 evaluates the hybrid budget elementwise over arrays of pilot counts and
-h_min values, so the optimizer's whole grid is one array computation.
+h_min values, and over a group of points that differ only in the SNRs,
+so the optimizer grids of a whole SNR sweep are one array computation.
 
 The key budget is the smaller of what the legitimate rate leaves after
 the message and what the eavesdropper's rate concedes, clamped at zero.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .params import SystemParams
+from .params import PointGroup, SystemParams
 from .specfun import q_inverse
 
 __all__ = [
@@ -91,9 +92,13 @@ def eavesdropper_info(lambda_t: float) -> float:
 
 
 def _budget(
-    params: SystemParams, i_xy: float, dispersion: float, rate: float, symbols: int
+    params: SystemParams | PointGroup,
+    i_xy: float,
+    i_xz: float,
+    dispersion: float,
+    rate: float,
+    symbols: int,
 ) -> RateReport:
-    i_xz = eavesdropper_info(params.lambda_T)
     return RateReport(
         i_xy=i_xy,
         i_xz=i_xz,
@@ -117,7 +122,7 @@ def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
     # S/(S+1) * (S+2)/(S+1): no intermediate (S+1)^2 to overflow at huge S
     dispersion = s / (s + 1.0) * ((s + 2.0) / (s + 1.0)) * _LOG2E**2
     rate = i_xy - math.sqrt(dispersion / n_total) * q_inverse(p_fa_cd)
-    return _budget(params, i_xy, dispersion, rate, n_total)
+    return _budget(params, i_xy, eavesdropper_info(params.lambda_T), dispersion, rate, n_total)
 
 
 # Var[I] quadrature: the 12 Gauss-Legendre nodes and weights on [-1, 1], the
@@ -154,13 +159,17 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
     k = 0, 1, ...: I bends at h = 1/a, and its complex singularities at
     h = +-i/a lie at least one piece length away from every piece.  The
     centred integrand keeps E[I^2] - E[I]^2 from cancelling.  A zero-width
-    interval gives the point values.
+    interval gives the point values.  Where a * h_max overflows, the pieces
+    cannot be counted, which is a NumericError.
     """
     h_min = np.asarray(h_min, dtype=float)
     a = math.sqrt(lambda_b)
+    if math.isinf(a * h_max):
+        raise NumericError("amplitude moments are not finite: sqrt(lambda_B) * h_max overflows")
     span = h_max - h_min
     n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
-    cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
+    with np.errstate(over="ignore"):  # a cut past 2^1023 / a lies beyond h_max and clips to it
+        cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
     edges = np.concatenate(
         [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
     )
@@ -183,7 +192,9 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
     )
 
 
-def hybrid_rates(params: SystemParams, q: float, pilot_count, h_min) -> RateReport:
+def hybrid_rates(
+    params: SystemParams | PointGroup, q: float, pilot_count, h_min
+) -> RateReport:
     """Coding check of the hybrid mechanism at back-off quantile ``q`` for
     each pilot count and h_min.
 
@@ -193,13 +204,17 @@ def hybrid_rates(params: SystemParams, q: float, pilot_count, h_min) -> RateRepo
     [h_min, h_max].  An all-pilot frame carries no codeword: its rate is 0
     by convention.  ``pilot_count`` and ``h_min`` broadcast against each
     other like numpy arrays (a column of counts and a row of h_min values
-    give one cell per pair).
+    give one cell per pair).  A PointGroup puts a leading points axis in
+    front of those cells; the moments and the eavesdropper's rate are
+    taken point by point, and only their results are stacked.
     """
-    mean_info, variance, mean_inv = _amplitude_moments(h_min, params.h_max, params.lambda_B)
+    moments = zip(*(_amplitude_moments(h_min, p.h_max, p.lambda_B) for p in params.points))
+    mean_info, variance, mean_inv = (params.stack(m, pilot_count, h_min) for m in moments)
     n_data = params.n - np.asarray(pilot_count)
     dispersion = n_data * variance + 1.0 - mean_inv * mean_inv
     n_data_total = n_data * params.F
     with np.errstate(divide="ignore", invalid="ignore"):
         back_off = np.sqrt(dispersion / n_data_total) * q
     rate = np.where(n_data_total > 0, mean_info - back_off, 0.0)
-    return _budget(params, mean_info, dispersion, rate, n_data_total)
+    i_xz = params.stack([eavesdropper_info(p.lambda_T) for p in params.points], pilot_count, h_min)
+    return _budget(params, mean_info, i_xz, dispersion, rate, n_data_total)

@@ -11,26 +11,27 @@ full false-alarm budget:
 
 ``optimize`` scans pilot counts 1..n-1 against an h_min grid, evaluated
 as one array computation by ``evaluate_grid`` with the same channel and
-coding formulas as the single-point ``evaluate``.  The channel-only
-configuration is the natural alpha = 1 endpoint of that search (the
-coding check degenerates, so it keeps the full budget); it is included as
-a candidate by default so the optimum saturates exactly to the
-channel-only value when coding stops paying.  Disable it when h_min is
-externally pinned, since the endpoint lives at h_min = 0.
+coding formulas as the single-point ``evaluate``; ``evaluate_grids`` does
+the same for the grids of several points that differ only in the SNRs.
+The channel-only configuration is the natural alpha = 1 endpoint of that
+search (the coding check degenerates, so it keeps the full budget); it is
+included as a candidate by default so the optimum saturates exactly to
+the channel-only value when coding stops paying.  Disable it when h_min
+is externally pinned, since the endpoint lives at h_min = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import channel, coding
 from .channel import ChannelGeometry
 from .coding import RateReport
-from .errors import InvalidPilotCount, InvalidRange, NumericError
-from .params import SecurityReport, SystemParams
+from .errors import CrplaError, InvalidPilotCount, InvalidRange, NumericError
+from .params import PointGroup, SecurityReport, SystemParams
 from .specfun import q_inverse
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "evaluate",
     "optimize",
     "evaluate_grid",
+    "evaluate_grids",
 ]
 
 
@@ -55,7 +57,9 @@ class OptimizationGrid:
     h_min_values: tuple[float, ...] | None = None
     include_channel_only: bool = True
 
-    def resolve(self, params: SystemParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    def resolve(
+        self, params: SystemParams | PointGroup
+    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
         pilots = self.pilot_counts
         if pilots is None:
             pilots = tuple(range(1, params.n))
@@ -92,11 +96,12 @@ def _require_finite(mechanism: str, bits) -> None:
 
 
 def _hybrid_checks(
-    params: SystemParams, pilot_count, h_min, exact_threshold: bool
+    params: SystemParams | PointGroup, pilot_count, h_min, exact_threshold: bool
 ) -> tuple[ChannelGeometry, RateReport]:
     """Both hybrid checks, each on half the false-alarm budget, at scalar or
-    broadcast ``pilot_count`` and ``h_min``; the coding back-off keeps its own
-    Qinv(p_FA / 2), which the asymptotic channel threshold happens to share."""
+    broadcast ``pilot_count`` and ``h_min``, and at each point of a group;
+    the coding back-off keeps its own Qinv(p_FA / 2), which the asymptotic
+    channel threshold happens to share."""
     p_half = 0.5 * params.p_FA
     q = q_inverse(p_half)
     tau = channel.threshold_from_pfa(p_half, params.F, exact_threshold)
@@ -141,12 +146,13 @@ def evaluate(
 
 @dataclass(frozen=True)
 class GridCells:
-    """Every cell of an optimizer grid, and the channel-only candidate.
+    """Every cell of one point's optimizer grid, and the channel-only candidate.
 
     ``b_ch`` and ``b_key`` are arrays with one row per pilot count and one
-    column per h_min value.  Iterating yields the report of every cell,
-    pilot-major, then the channel-only candidate when there is one;
-    ``report`` gives a sweep every row the grid holds.
+    column per h_min value, and ``optimum`` is the (row, column) of the best
+    cell.  Iterating yields the report of every cell, pilot-major, then the
+    channel-only candidate when there is one; ``report`` gives a sweep every
+    row the grid holds.
     """
 
     params: SystemParams
@@ -155,6 +161,7 @@ class GridCells:
     b_ch: np.ndarray
     b_key: np.ndarray
     channel_only: SecurityReport | None
+    optimum: tuple[int, int]
 
     def _cell(self, i: int, j: int, b_ch: float, b_key: float) -> SecurityReport:
         alpha = self.pilot_counts[i] / self.params.n
@@ -188,15 +195,43 @@ class GridCells:
         """The maximum of (b_tot, -alpha, h_min): ties prefer fewer pilots,
         then a larger h_min, and the channel-only candidate (alpha = 1)
         wins only with strictly more bits."""
-        b_tot = self.b_ch + self.b_key
-        rows, cols = np.nonzero(b_tot == b_tot.max())
-        pilots = np.asarray(self.pilot_counts)[rows]
-        h_values = np.asarray(self.h_min_values)[cols]
-        k = np.lexsort((-h_values, pilots))[0]
-        i, j = rows[k], cols[k]
+        i, j = self.optimum
         cell = self._cell(i, j, float(self.b_ch[i, j]), float(self.b_key[i, j]))
         ch = self.channel_only
         return ch if ch is not None and ch.b_tot > cell.b_tot else cell
+
+
+def _optima(
+    b_tot: np.ndarray, pilots: tuple[int, ...], h_values: tuple[float, ...]
+) -> list[tuple[int, int]]:
+    """The (row, column) of each point's best cell in ``b_tot`` (points x
+    pilot counts x h_min values): the most bits, then the fewest pilots,
+    then the largest h_min, then the first in grid order."""
+    cells = (1, 2)  # the axes of one point's grid
+    best = b_tot == b_tot.max(axis=cells, keepdims=True)
+    pilot = np.asarray(pilots)[:, None]
+    best &= pilot == np.where(best, pilot, np.inf).min(axis=cells, keepdims=True)
+    h = np.asarray(h_values)
+    best &= h == np.where(best, h, -np.inf).max(axis=cells, keepdims=True)
+    return [divmod(int(k), len(h_values)) for k in best.reshape(len(b_tot), -1).argmax(axis=1)]
+
+
+def _evaluate_group(
+    group: PointGroup, grid: OptimizationGrid, exact_threshold: bool
+) -> list[GridCells]:
+    pilots, h_values = grid.resolve(group)
+    channel_only = [
+        evaluate(point, "CH", exact_threshold).report if grid.include_channel_only else None
+        for point in group.points
+    ]
+    column, row = np.array(pilots)[:, None], np.array(h_values)
+    geometry, rates = _hybrid_checks(group, column, row, exact_threshold)
+    b_ch, b_key = geometry.b_ch, rates.b_key
+    optima = _optima(b_ch + b_key, pilots, h_values)
+    return [
+        GridCells(point, pilots, h_values, b_ch[k], b_key[k], channel_only[k], optima[k])
+        for k, point in enumerate(group.points)
+    ]
 
 
 def evaluate_grid(
@@ -205,14 +240,29 @@ def evaluate_grid(
     exact_threshold: bool = False,
 ) -> GridCells:
     """Evaluate every hybrid cell of the grid as one array computation,
-    with the same checks as the single-point ``evaluate``."""
-    pilots, h_values = grid.resolve(params)
-    channel_only = (
-        evaluate(params, "CH", exact_threshold).report if grid.include_channel_only else None
-    )
-    column, row = np.array(pilots)[:, None], np.array(h_values)
-    geometry, rates = _hybrid_checks(params, column, row, exact_threshold)
-    return GridCells(params, pilots, h_values, geometry.b_ch, rates.b_key, channel_only)
+    with the same checks as the single-point ``evaluate``: the grids of
+    ``evaluate_grids`` at this point alone."""
+    return _evaluate_group(PointGroup((params,)), grid, exact_threshold)[0]
+
+
+def evaluate_grids(
+    points: Sequence[SystemParams],
+    grid: OptimizationGrid = OptimizationGrid(),
+    exact_threshold: bool = False,
+) -> list[GridCells | CrplaError]:
+    """The grid at each of ``points``, which differ at most in lambda_B and
+    lambda_T, evaluated as one array computation with a leading points axis.
+
+    Each entry is what ``evaluate_grid`` returns at that point, or the
+    CrplaError it raises there: when the group fails, its points are
+    evaluated again one at a time, so that each keeps its own error.
+    """
+    try:
+        return _evaluate_group(PointGroup(tuple(points)), grid, exact_threshold)
+    except CrplaError as exc:
+        if len(points) == 1:
+            return [exc]
+        return [evaluate_grids((point,), grid, exact_threshold)[0] for point in points]
 
 
 def optimize(

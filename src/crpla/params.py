@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigParseError,
@@ -26,6 +28,7 @@ from .errors import (
 
 __all__ = [
     "SystemParams",
+    "PointGroup",
     "SecurityReport",
     "MECHANISMS",
     "validate",
@@ -72,6 +75,49 @@ class SystemParams:
 
     def replace(self, **changes: Any) -> "SystemParams":
         return replace(self, **changes)
+
+    @property
+    def points(self) -> tuple["SystemParams", ...]:
+        """This point alone, as a :class:`PointGroup` lists its points."""
+        return (self,)
+
+    def stack(self, values: Sequence[Any], *cells: Any) -> Any:
+        """The only entry of ``values``: one point has no points axis."""
+        return values[0]
+
+
+@dataclass(frozen=True)
+class PointGroup:
+    """Operating points that differ at most in lambda_B and lambda_T.
+
+    ``channel.geometry`` and ``coding.hybrid_rates`` take a group wherever
+    they take one SystemParams and evaluate all its points as one array
+    computation, in which every per-point value gains a leading points axis
+    (see :meth:`stack`).  The fields the points share read as on a
+    SystemParams.
+    """
+
+    points: tuple[SystemParams, ...]
+
+    def __post_init__(self) -> None:
+        if len({(p.n, p.F, p.b_M, p.p_FA, p.h_max) for p in self.points}) != 1:
+            raise ValueError("a point group needs points that differ only in the SNRs")
+
+    n = property(lambda self: self.points[0].n)
+    F = property(lambda self: self.points[0].F)
+    b_M = property(lambda self: self.points[0].b_M)
+    p_FA = property(lambda self: self.points[0].p_FA)
+    h_max = property(lambda self: self.points[0].h_max)
+
+    def stack(self, values: Sequence[Any], *cells: Any) -> np.ndarray:
+        """``values``, one per point, stacked on a leading points axis and
+        followed by unit axes, so that the stack broadcasts against the
+        arrays ``cells`` and leads all their axes: against a column of
+        pilot counts and a row of h_min values, a value per point gives
+        shape (points, 1, 1), and an h_min row per point (points, 1, h_min)."""
+        stacked = np.stack(values)
+        padding = (1,) * (max(map(np.ndim, cells)) + 1 - stacked.ndim)
+        return stacked.reshape(stacked.shape[:1] + padding + stacked.shape[1:])
 
 
 def validate(params: SystemParams) -> SystemParams:

@@ -20,11 +20,16 @@ the cell at the configured split, which has the same bits as the
 single-point ``hybrid.evaluate`` (``TestGridMatchesScalarPath`` in
 tests/test_hybrid.py).  Any other row is a single-point evaluation.
 
+The points of a lambda_B_dB or lambda_ratio sweep differ only in lambda_B
+and lambda_T, so the grids of all of them are one array computation with
+a leading points axis (``hybrid.evaluate_grids``); the points of any other
+sweep each evaluate their own grid.  Either way the rows, and the error of
+a failing point, are those of the values swept one at a time.
+
 CSV rows appear in (value, mechanism) input order with columns
 swept_var, value, mechanism, alpha_used, h_min_used, b_ch, b_key, b_tot;
 floats carry 12 significant digits and lines end with a bare newline, so
-output is byte-stable across runs.  The whole grid of one optimize is one
-array computation, so a sweep runs in a single process.
+output is byte-stable across runs.  A sweep runs in a single process.
 """
 
 from __future__ import annotations
@@ -131,6 +136,57 @@ def _opt_grid(params: SystemParams, variable: str) -> hybrid.OptimizationGrid:
     return hybrid.OptimizationGrid()
 
 
+# The points of these sweeps differ only in lambda_B and lambda_T.
+_SNR_VARIABLES = ("lambda_ratio", "lambda_B_dB")
+
+
+def run_sweep(
+    spec: SweepSpec, exact_threshold: bool = False
+) -> list[tuple[float, str, SecurityReport]]:
+    """Evaluate the whole sweep; rows come back in (value, mechanism) input
+    order, labelled with the requested mechanism even where the HYBRID_OPT
+    optimum saturates to a baseline report.
+
+    With HYBRID_OPT requested, the optimizer grids are evaluated before the
+    rows: all points of a lambda_B_dB or lambda_ratio sweep as one array
+    computation (``hybrid.evaluate_grids``), the points of any other sweep
+    one at a time.  Each row takes ``GridCells.report`` when its grid holds
+    one.  A value that cannot be applied, or a point whose grid fails, is
+    held and raised where evaluating the rows one by one, in order, would
+    first raise: the grid's error at the point's HYBRID_OPT row.
+    """
+    points: list[SystemParams] = []
+    failure: CrplaError | None = None
+    for value in spec.values:
+        try:
+            points.append(apply_swept_value(spec.params, spec.variable, value))
+        except CrplaError as exc:  # no later value is evaluated
+            failure = exc
+            break
+    grids: list[hybrid.GridCells | CrplaError | None] = [None] * len(points)
+    if "HYBRID_OPT" in spec.mechanisms:
+        snr_sweep = spec.variable in _SNR_VARIABLES and points
+        groups = [points] if snr_sweep else [[point] for point in points]
+        grids = [
+            cells
+            for group in groups
+            for cells in hybrid.evaluate_grids(
+                group, _opt_grid(group[0], spec.variable), exact_threshold
+            )
+        ]
+    rows: list[tuple[float, str, SecurityReport]] = []
+    for value, point, cells in zip(spec.values, points, grids):
+        for mechanism in spec.mechanisms:
+            if mechanism == "HYBRID_OPT" and isinstance(cells, CrplaError):
+                raise cells
+            report = cells.report(mechanism) if isinstance(cells, hybrid.GridCells) else None
+            report = report or hybrid.evaluate(point, mechanism, exact_threshold).report
+            rows.append((value, mechanism, report))
+    if failure is not None:
+        raise failure
+    return rows
+
+
 def evaluate_point(
     params: SystemParams,
     variable: str,
@@ -138,43 +194,9 @@ def evaluate_point(
     mechanisms: Sequence[str],
     exact_threshold: bool,
 ) -> list[SecurityReport]:
-    """All requested mechanism reports at one swept value.
-
-    With HYBRID_OPT requested, its grid is evaluated once, before the rows,
-    and each row takes ``GridCells.report`` when the grid holds one.  An
-    error from the grid is raised at the HYBRID_OPT row, so a failing
-    point reports the error that evaluating the rows one by one, in list
-    order, would report first.
-    """
-    point = apply_swept_value(params, variable, value)
-    cells: hybrid.GridCells | CrplaError | None = None
-    if "HYBRID_OPT" in mechanisms:
-        try:
-            cells = hybrid.evaluate_grid(point, _opt_grid(point, variable), exact_threshold)
-        except CrplaError as exc:
-            cells = exc
-    reports: list[SecurityReport] = []
-    for mechanism in mechanisms:
-        if mechanism == "HYBRID_OPT" and isinstance(cells, CrplaError):
-            raise cells
-        report = cells.report(mechanism) if isinstance(cells, hybrid.GridCells) else None
-        reports.append(report or hybrid.evaluate(point, mechanism, exact_threshold).report)
-    return reports
-
-
-def run_sweep(
-    spec: SweepSpec, exact_threshold: bool = False
-) -> list[tuple[float, str, SecurityReport]]:
-    """Evaluate the whole sweep; rows come back in input order, labelled
-    with the requested mechanism even where the HYBRID_OPT optimum
-    saturates to a baseline report."""
-    rows: list[tuple[float, str, SecurityReport]] = []
-    for value in spec.values:
-        reports = evaluate_point(
-            spec.params, spec.variable, value, spec.mechanisms, exact_threshold
-        )
-        rows.extend((value, label, report) for label, report in zip(spec.mechanisms, reports))
-    return rows
+    """All requested mechanism reports at one swept value: a sweep of one."""
+    spec = SweepSpec(variable, (value,), tuple(mechanisms), params)
+    return [report for _value, _label, report in run_sweep(spec, exact_threshold)]
 
 
 def _fmt(x: float) -> str:

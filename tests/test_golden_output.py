@@ -1,7 +1,7 @@
 """Golden outputs: the shipped configs must keep producing the same bytes.
 
 Each case runs the CLI in-process at ``--jobs 1`` and pins the sha256 of
-what it writes: the sweep CSVs of the shipped specs and of two specs built
+what it writes: the sweep CSVs of the shipped specs and of four specs built
 here, the optimizer's full grid dump, the
 human-readable ``analyze`` report, the ``analyze --out`` JSON document
 with both thresholds, and the exit code, stdout and stderr of ``simulate``
@@ -26,8 +26,10 @@ SWEEP_CSV = {
 # Sweeps on point_high_snr's parameters that no shipped spec covers: a
 # lambda_B_dB curve listing all four mechanisms over the free optimizer
 # grid, the row shape of the opt_map_cold benchmark workload (its optimum
-# moves from the grid to the channel-only endpoint), and an alpha sweep at
-# h_min = -0.0, whose HYBRID rows print h_min_used as -0.
+# moves from the grid to the channel-only endpoint), an alpha sweep at
+# h_min = -0.0, whose HYBRID rows print h_min_used as -0, an F sweep, whose
+# points each evaluate their own grid, and an attacker-ratio sweep with the
+# exact threshold, whose points share one grid evaluation.
 SPEC_CSV = {
     "map_curve": (
         {"variable": "lambda_B_dB", "values": [12.5, 30.0, 50.0]},
@@ -39,7 +41,18 @@ SPEC_CSV = {
         {"h_min": -0.0},
         "06f12d0fae8c169ac0cb834c7dd3e0ffc64a90a66cfc33edc9a19eaa7437580b",
     ),
+    "f_sweep": (
+        {"variable": "F", "values": [2, 20, 100]},
+        {},
+        "52da8c7558cc55d49f377e57495301751ff7374924653ca14cfd545ee4cbcf4b",
+    ),
+    "lambda_ratio_exact_threshold": (
+        {"variable": "lambda_ratio", "values": [0.05, 0.3, 0.6, 0.95]},
+        {},
+        "3a22d21c3a7f294100aaf345fd3e7eca09de5f903c642ca1fd50a697fda10db6",
+    ),
 }
+SPEC_EXACT_THRESHOLD = {"lambda_ratio_exact_threshold"}
 GRID_CSV = {
     "point_high_snr.json": "77a2e6150904405d53a83692e773988230d059307a9ff287703d06728d7221f3",
     "validate_small_f.json": "f48aea75f46e9240aac9bffa6a5e1fc9508994d132152d342c66a34a9d0caf39",
@@ -82,7 +95,7 @@ def test_spec_csv(name, tmp_path):
     config, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
     config.write_text(json.dumps(spec))
     argv = ["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"]
-    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--exact-threshold"] * (name in SPEC_EXACT_THRESHOLD)) == 0
     assert sha256(out.read_bytes()) == digest
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpla import channel, coding
-from crpla.errors import InvalidPilotCount, InvalidRange
-from crpla.hybrid import OptimizationGrid, evaluate, evaluate_grid, optimize
+from crpla.errors import CrplaError, InvalidPilotCount, InvalidRange
+from crpla.hybrid import OptimizationGrid, evaluate, evaluate_grid, evaluate_grids, optimize
 from crpla.params import SecurityReport, SystemParams
 from crpla.specfun import q_inverse
 
@@ -285,3 +285,23 @@ class TestGridMatchesScalarPath:
         assert np.all(np.diff(row) <= 0.0)
         scalar = [evaluate(params.replace(h_min=h), "HYBRID").report.b_ch for h in h_sorted]
         assert scalar == row.tolist()
+
+
+class TestEvaluateGrids:
+    """The grids of a group of points, one array computation for all."""
+
+    def test_each_point_as_if_alone(self):
+        # at lambda_B = 1e308 the channel-only candidate fails; the others do not
+        points = [make(lambda_B=lb, lambda_T=0.3 * lb) for lb in (1e2, 1e308, 1e5)]
+        for point, cells in zip(points, evaluate_grids(points)):
+            try:
+                alone = evaluate_grid(point)
+            except CrplaError as exc:
+                assert repr(cells) == repr(exc)
+            else:
+                assert list(cells) == list(alone)
+                assert cells.best() == alone.best()
+
+    def test_points_differ_only_in_the_snrs(self):
+        with pytest.raises(ValueError):
+            evaluate_grids([make(), make(F=20)])

@@ -1,5 +1,6 @@
 """Sweep machinery and CLI behavior: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sweep_digest import map_digests
 
 from crpla import channel, cli, hybrid
-from crpla.errors import ConfigParseError
+from crpla.errors import ConfigParseError, CrplaError
 from crpla.params import params_from_config
 from crpla.sweep import (
     SweepSpec,
@@ -227,6 +230,97 @@ class TestRunSweep:
             (0.6, "CH"),
             (0.6, "CD"),
         ]
+
+    @given(
+        variable=st.sampled_from(["lambda_B_dB", "lambda_ratio"]),
+        data=st.data(),
+        mechanisms=st.permutations(("CH", "CD", "HYBRID", "HYBRID_OPT")),
+        pilot_count=st.integers(0, 10),
+        h_min=st.one_of(st.sampled_from([0.0, -0.0, 0.5, 0.9]), st.floats(0.0, 1.0)),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_is_its_one_value_sweeps(
+        self, variable, data, mechanisms, pilot_count, h_min, exact
+    ):
+        # the points of an SNR sweep share one grid evaluation; its rows, or
+        # its error, are those of its values swept one at a time, in order
+        value = st.floats(-30.0, 90.0) if variable == "lambda_B_dB" else st.floats(0.01, 3.0)
+        values = tuple(data.draw(st.lists(value, min_size=2, max_size=6), label="values"))
+        config = dict(BASE_PARAMS, alpha=pilot_count / 10, h_min=h_min)
+        spec = SweepSpec(variable, values, tuple(mechanisms), params_from_config(config))
+        expected: list | CrplaError = []
+        for v in values:
+            try:
+                expected += run_sweep(dataclasses.replace(spec, values=(v,)), exact)
+            except CrplaError as exc:
+                expected = exc
+                break
+        try:
+            rows: list | CrplaError = run_sweep(spec, exact)
+        except CrplaError as exc:
+            rows = exc
+        assert repr(rows) == repr(expected)
+
+
+# every b_tot of a scaled sweep against the original, relative
+SCALING_RTOL = 1e-12
+
+
+class TestSweepProperties:
+    """Properties of the reports of a sweep whose points share one grid
+    evaluation."""
+
+    @given(
+        db=st.floats(0.0, 60.0),
+        ratios=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+        pilot_count=st.integers(1, 9),
+        h_min=st.floats(0.0, 1.0),
+        c=st.sampled_from([0.25, 3.0, 7.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_amplitude_snr_scaling(self, db, ratios, pilot_count, h_min, c):
+        # (h_min, h_max, lambda_B) -> (c h_min, c h_max, lambda_B / c^2) with
+        # lambda_T fixed leaves every h^2 lambda_B and r / (h_max - h_min) as
+        # they were, so every b_tot and the optimum's alpha and h_min / c stay
+        config = dict(BASE_PARAMS, lambda_B_dB=db, alpha=pilot_count / 10, h_min=h_min)
+        params = params_from_config(config)
+        scaled = params.replace(
+            lambda_B=params.lambda_B / c**2, h_min=c * params.h_min, h_max=c * params.h_max
+        )
+        mechanisms = ("CH", "CD", "HYBRID", "HYBRID_OPT")
+        rows = run_sweep(SweepSpec("lambda_ratio", tuple(ratios), mechanisms, params))
+        scaled_ratios = tuple(r * c * c for r in ratios)
+        images = run_sweep(SweepSpec("lambda_ratio", scaled_ratios, mechanisms, scaled))
+        for (_v, label, report), (_w, _label, image) in zip(rows, images):
+            assert math.isclose(image.b_tot, report.b_tot, rel_tol=SCALING_RTOL, abs_tol=1e-9)
+            if label == "HYBRID_OPT":
+                assert image.alpha_used == report.alpha_used
+                assert math.isclose(image.h_min_used / c, report.h_min_used, rel_tol=1e-15)
+
+    @given(
+        dbs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4),
+        ratio=st.floats(0.05, 0.95),
+        pilot_count=st.integers(1, 9),
+        step=st.integers(0, 100),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_optimum_dominates_every_cell_and_ch(self, dbs, ratio, pilot_count, step, exact):
+        # h_min on the default grid makes the HYBRID row one of the grid's cells
+        config = dict(
+            BASE_PARAMS,
+            lambda_T_over_lambda_B=ratio,
+            alpha=pilot_count / 10,
+            h_min=min(step * 1.0 / 100.0, 1.0),
+        )
+        spec = SweepSpec(
+            "lambda_B_dB", tuple(dbs), ("CH", "HYBRID", "HYBRID_OPT"), params_from_config(config)
+        )
+        reports = [report for _v, _label, report in run_sweep(spec, exact)]
+        for ch, cell, optimum in zip(reports[::3], reports[1::3], reports[2::3]):
+            assert optimum.b_tot >= cell.b_tot
+            assert optimum.b_tot >= ch.b_tot
 
 
 class TestCsv:
@@ -512,6 +606,87 @@ class TestInputErrors:
         assert cli.main(argv) == code
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o.csv").exists()
+
+    _DB_OVERFLOW = "error: lambda_B_dB = 4000.0 overflows the linear scale\n"
+    _LAMBDA_T_OVERFLOW = "error: lambda_T must be finite and > 0, got inf\n"
+    _CD_OVERFLOW = "numeric failure: CD key bits are not finite at this operating point\n"
+    _HUGE_H_MAX = dict(h_max=1e140, h_min=0.0)  # at 300 dB CD and the grid overflow, CH does not
+
+    @pytest.mark.parametrize(
+        "variable, values, params, mechanisms, code, message",
+        [
+            ("lambda_B_dB", [40, 4000, 50], {}, ["CD", "HYBRID_OPT"], 1, _DB_OVERFLOW),
+            ("lambda_ratio", [0.3, 1e308, 0.5], {}, ["CD", "HYBRID_OPT"], 1, _LAMBDA_T_OVERFLOW),
+            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CH", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
+            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CH", "CD", "HYBRID_OPT"], 2, _CD_OVERFLOW),
+            # the middle point's grid fails before the last point's dB value overflows
+            ("lambda_B_dB", [40, 300, 4000], _HUGE_H_MAX, ["CH", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
+        ],
+        ids=[
+            "db_overflow", "ratio_overflow", "grid_not_finite", "cd_before_grid",
+            "grid_before_db_overflow",
+        ],
+    )  # fmt: skip
+    def test_failing_value_mid_sweep(
+        self, tmp_path, capsys, variable, values, params, mechanisms, code, message
+    ):
+        # the points of an SNR sweep share one grid evaluation; a failing
+        # point still reports, at its own place, what it would report alone
+        spec = spec_dict(
+            sweep={"variable": variable, "values": values},
+            mechanisms=mechanisms,
+            params=dict(BASE_PARAMS, **params),
+        )
+        path = write_json(tmp_path / "s.json", spec)
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--jobs", "1"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_amplitude_moment_overflow_is_a_numeric_failure(self, tmp_path, capsys, command):
+        # sqrt(lambda_B) * h_max = 1e315 overflows where the amplitude
+        # moments count their quadrature pieces
+        params = dict(BASE_PARAMS, lambda_B_dB=300, h_min=0.0, h_max=1e300)
+        if command == "sweep":
+            spec = spec_dict(
+                sweep={"variable": "lambda_B_dB", "values": [300]},
+                mechanisms=["CH", "HYBRID_OPT"],
+                params=params,
+            )
+            cfg = write_json(tmp_path / "s.json", spec)
+            extra = ["--out", str(tmp_path / "o.csv")]
+        else:
+            cfg, extra = write_json(tmp_path / "p.json", params), []
+        assert cli.main([command, "--config", cfg, *extra]) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: amplitude moments are not finite: sqrt(lambda_B) * h_max overflows\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "values, params, code, message",
+        [
+            # lambda_B * pilots < 5.6e-309: the estimator variance is inf and b_ch 0
+            ([-3090], {}, 0, ""),
+            # sqrt(lambda_B) * h_max = 1e308: the last quadrature cut 2^1024 / a is inf
+            ([160], dict(h_max=1e300, h_min=0.0), 2, _HYBRID_OVERFLOW),
+        ],
+        ids=["subnormal_snr", "last_cut_overflows"],
+    )
+    def test_overflow_prints_no_python_warning(
+        self, tmp_path, capsys, values, params, code, message
+    ):
+        spec = spec_dict(
+            sweep={"variable": "lambda_B_dB", "values": values},
+            mechanisms=["CH", "HYBRID_OPT"],
+            params=dict(BASE_PARAMS, **params),
+        )
+        path = write_json(tmp_path / "s.json", spec)
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "o.csv"), "--quiet"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == message
 
     def test_cd_report_finite_near_float_limit(self, tmp_path, capsys):
         # (S + 1)^2 would overflow a float at these SNRs; the CD dispersion must not
