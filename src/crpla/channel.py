@@ -178,15 +178,18 @@ def geometry(
 
 
 def equivalent_key_bits(
-    params: SystemParams, p_fa_ch: float, exact_threshold: bool = False
+    params: SystemParams | PointGroup, p_fa_ch: float, exact_threshold: bool = False
 ) -> ChannelGeometry:
     """Acceptance-region geometry and equivalent key bits at the configured
-    pilot count and h_min, as floats.
+    pilot count and h_min: floats for one SystemParams, and for a
+    PointGroup one array computation whose fields that depend on lambda_B
+    have one entry per point.
 
     ``exact_threshold`` picks the law of :func:`threshold_from_pfa`.
     """
     tau = threshold_from_pfa(p_fa_ch, params.F, exact_threshold)
-    return as_floats(geometry(params, tau, params.pilot_count, params.h_min))
+    checks = geometry(params, tau, params.pilot_count, params.h_min)
+    return checks if isinstance(params, PointGroup) else as_floats(checks)
 
 
 def as_floats(record):

@@ -158,7 +158,10 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
     Gauss-Legendre sum on each piece of [h_min, h_max] cut at h = 2^k / a,
     k = 0, 1, ...: I bends at h = 1/a, and its complex singularities at
     h = +-i/a lie at least one piece length away from every piece.  The
-    centred integrand keeps E[I^2] - E[I]^2 from cancelling.  A zero-width
+    centred integrand keeps E[I^2] - E[I]^2 from cancelling.  The piece
+    edges fill one array, and one array of nodes (..., pieces, 12) is taken
+    in place from h to the squared deviation before the weighted sum, so
+    each value is the plain expression's to the last bit.  A zero-width
     interval gives the point values.  Where a * h_max overflows, the pieces
     cannot be counted, which is a NumericError.
     """
@@ -168,12 +171,14 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
         raise NumericError("amplitude moments are not finite: sqrt(lambda_B) * h_max overflows")
     span = h_max - h_min
     n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
+    edges = np.empty(h_min.shape + (n_cuts + 2,))
+    edges[..., 0], edges[..., -1] = h_min, h_max
+    cuts = edges[..., 1:-1]
     with np.errstate(over="ignore"):  # a cut past 2^1023 / a lies beyond h_max and clips to it
-        cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
-    edges = np.concatenate(
-        [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
-    )
-    half = 0.5 * np.diff(edges, axis=-1)
+        np.maximum(2.0 ** np.arange(n_cuts) / a, h_min[..., None], out=cuts)
+    np.minimum(cuts, h_max, out=cuts)
+    half = np.subtract(edges[..., 1:], edges[..., :-1])
+    half *= 0.5
     # span = 0 takes the point values; an overflow reaches the caller as inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
@@ -181,9 +186,18 @@ def _amplitude_moments(h_min, h_max: float, lambda_b: float):
         log_top = math.log1p(lambda_b * h_max * h_max)
         mean_info = (log_top - 2.0 + (h_min * log_ratio + 2.0 * atan_diff / a) / span) * _LOG2E
         mean_inv = atan_diff / (a * span)
-        h = (edges[..., :-1] + half)[..., None] + half[..., None] * _GL_NODES
-        deviation = np.log1p(h * h * lambda_b) * _LOG2E - mean_info[..., None, None]
-        variance = (half * ((deviation * deviation) @ _GL_WEIGHTS)).sum(axis=-1) / span
+        mid = edges[..., :-1]
+        mid += half  # the lower edges become the piece midpoints
+        # one array of nodes, taken in place to the squared deviation (I(h) - E[I])^2
+        h = np.multiply(half[..., None], _GL_NODES)
+        h += mid[..., None]
+        np.multiply(h, h, out=h)
+        h *= lambda_b
+        np.log1p(h, out=h)
+        h *= _LOG2E
+        h -= mean_info[..., None, None]
+        np.multiply(h, h, out=h)
+        variance = (half * (h @ _GL_WEIGHTS)).sum(axis=-1) / span
     point = span == 0.0
     return (
         np.where(point, mutual_info_fixed(h_max, lambda_b), mean_info),

@@ -17,7 +17,9 @@ The channel-only configuration is the natural alpha = 1 endpoint of that
 search (the coding check degenerates, so it keeps the full budget); it is
 included as a candidate by default so the optimum saturates exactly to
 the channel-only value when coding stops paying.  Disable it when h_min
-is externally pinned, since the endpoint lives at h_min = 0.
+is externally pinned, since the endpoint lives at h_min = 0.  The
+candidate is the CH report of ``evaluate``, taken for all the points of
+``evaluate_grids`` from one channel evaluation over the points axis.
 """
 
 from __future__ import annotations
@@ -67,13 +69,13 @@ class OptimizationGrid:
             raise InvalidPilotCount("empty pilot-count grid")
         if any(not 1 <= p <= params.n - 1 for p in pilots):
             raise InvalidPilotCount(f"pilot counts must lie in 1..{params.n - 1}: {pilots}")
-        h_values = self.h_min_values
+        h_values, h_max = self.h_min_values, params.h_max
         if h_values is None:
-            h_values = tuple(min(i * params.h_max / 100.0, params.h_max) for i in range(101))
+            h_values = tuple(min(i * h_max / 100.0, h_max) for i in range(101))
         if not h_values:
             raise InvalidRange("empty h_min grid")
-        if any(not 0.0 <= h <= params.h_max for h in h_values):
-            raise InvalidRange(f"h_min grid must stay within [0, {params.h_max}]")
+        if any(not 0.0 <= h <= h_max for h in h_values):
+            raise InvalidRange(f"h_min grid must stay within [0, {h_max}]")
         return tuple(pilots), tuple(h_values)
 
 
@@ -111,6 +113,19 @@ def _hybrid_checks(
     return geometry, rates
 
 
+def _channel_only(params: SystemParams | PointGroup, exact_threshold: bool) -> ChannelGeometry:
+    """The channel-only check, at one point or at each point of a group:
+    every symbol a pilot, h_min = 0 and the full false-alarm budget."""
+    forced = params.replace(pilot_count=params.n, h_min=0.0)
+    geometry = channel.equivalent_key_bits(forced, params.p_FA, exact_threshold)
+    _require_finite("CH", geometry.b_ch)
+    return geometry
+
+
+def _channel_only_report(b_ch: float) -> SecurityReport:
+    return SecurityReport("CH", b_ch, 0.0, alpha_used=1.0, h_min_used=0.0)
+
+
 def evaluate(
     params: SystemParams, mechanism: str, exact_threshold: bool = False
 ) -> Evaluation:
@@ -122,11 +137,8 @@ def evaluate(
     (1 <= pilots <= n-1) and gives each check half the budget.
     """
     if mechanism == "CH":
-        forced = params.replace(pilot_count=params.n, h_min=0.0)
-        geometry = channel.equivalent_key_bits(forced, params.p_FA, exact_threshold)
-        _require_finite("CH", geometry.b_ch)
-        report = SecurityReport("CH", geometry.b_ch, 0.0, alpha_used=1.0, h_min_used=0.0)
-        return Evaluation(report, geometry, None)
+        geometry = _channel_only(params, exact_threshold)
+        return Evaluation(_channel_only_report(geometry.b_ch), geometry, None)
     if mechanism == "CD":
         rates = coding.b_key_cd(params, params.p_FA)
         _require_finite("CD", rates.b_key)
@@ -220,10 +232,10 @@ def _evaluate_group(
     group: PointGroup, grid: OptimizationGrid, exact_threshold: bool
 ) -> list[GridCells]:
     pilots, h_values = grid.resolve(group)
-    channel_only = [
-        evaluate(point, "CH", exact_threshold).report if grid.include_channel_only else None
-        for point in group.points
-    ]
+    channel_only = [None] * len(group.points)
+    if grid.include_channel_only:
+        b_ch = _channel_only(group, exact_threshold).b_ch
+        channel_only = [_channel_only_report(bits) for bits in b_ch.tolist()]
     column, row = np.array(pilots)[:, None], np.array(h_values)
     geometry, rates = _hybrid_checks(group, column, row, exact_threshold)
     b_ch, b_key = geometry.b_ch, rates.b_key
@@ -251,11 +263,14 @@ def evaluate_grids(
     exact_threshold: bool = False,
 ) -> list[GridCells | CrplaError]:
     """The grid at each of ``points``, which differ at most in lambda_B and
-    lambda_T, evaluated as one array computation with a leading points axis.
+    lambda_T, evaluated as one array computation with a leading points axis:
+    one channel evaluation gives every point's channel-only candidate, and
+    one pair of hybrid checks every point's cells.
 
     Each entry is what ``evaluate_grid`` returns at that point, or the
-    CrplaError it raises there: when the group fails, its points are
-    evaluated again one at a time, so that each keeps its own error.
+    CrplaError it raises there: when the group fails, a non-finite
+    channel-only candidate at any point included, its points are evaluated
+    again one at a time, so that each keeps its own error.
     """
     try:
         return _evaluate_group(PointGroup(tuple(points)), grid, exact_threshold)

@@ -90,24 +90,31 @@ class SystemParams:
 class PointGroup:
     """Operating points that differ at most in lambda_B and lambda_T.
 
-    ``channel.geometry`` and ``coding.hybrid_rates`` take a group wherever
-    they take one SystemParams and evaluate all its points as one array
-    computation, in which every per-point value gains a leading points axis
-    (see :meth:`stack`).  The fields the points share read as on a
-    SystemParams.
+    ``channel.geometry``, ``channel.equivalent_key_bits`` and
+    ``coding.hybrid_rates`` take a group wherever they take one SystemParams
+    and evaluate all its points as one array computation, in which every
+    per-point value gains a leading points axis (see :meth:`stack`).  The
+    fields the points share read as on a SystemParams.
     """
 
     points: tuple[SystemParams, ...]
 
     def __post_init__(self) -> None:
-        if len({(p.n, p.F, p.b_M, p.p_FA, p.h_max) for p in self.points}) != 1:
+        shared = {(p.n, p.F, p.pilot_count, p.b_M, p.p_FA, p.h_min, p.h_max) for p in self.points}
+        if len(shared) != 1:
             raise ValueError("a point group needs points that differ only in the SNRs")
 
     n = property(lambda self: self.points[0].n)
     F = property(lambda self: self.points[0].F)
+    pilot_count = property(lambda self: self.points[0].pilot_count)
     b_M = property(lambda self: self.points[0].b_M)
     p_FA = property(lambda self: self.points[0].p_FA)
+    h_min = property(lambda self: self.points[0].h_min)
     h_max = property(lambda self: self.points[0].h_max)
+
+    def replace(self, **changes: Any) -> "PointGroup":
+        """The group of every point with the same fields replaced."""
+        return PointGroup(tuple(p.replace(**changes) for p in self.points))
 
     def stack(self, values: Sequence[Any], *cells: Any) -> np.ndarray:
         """``values``, one per point, stacked on a leading points axis and
@@ -115,7 +122,7 @@ class PointGroup:
         arrays ``cells`` and leads all their axes: against a column of
         pilot counts and a row of h_min values, a value per point gives
         shape (points, 1, 1), and an h_min row per point (points, 1, h_min)."""
-        stacked = np.stack(values)
+        stacked = np.array(values)
         padding = (1,) * (max(map(np.ndim, cells)) + 1 - stacked.ndim)
         return stacked.reshape(stacked.shape[:1] + padding + stacked.shape[1:])
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from crpla import coding
 from crpla.coding import b_key_cd, eavesdropper_info, hybrid_rates, mutual_info_fixed
+from crpla.errors import NumericError
 from crpla.params import SystemParams
 from crpla.specfun import q_inverse
 from quadrature_oracle import uniform_expectation
@@ -206,6 +207,61 @@ class TestAmplitudeMoments:
         for k, h_min in enumerate(h_values):
             single = coding._amplitude_moments(h_min, 1.0, 3e5)
             assert [float(m[k]) for m in stacked] == [float(m) for m in single]
+
+    @given(
+        lam=st.floats(0.0, 1e308, exclude_min=True),
+        h_max=st.floats(0.0, 1e308),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+        zero_width=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_the_formula_as_written(self, lam, h_max, fractions, zero_width):
+        # the moments build their nodes and piece edges in place; every bit
+        # must equal the plain expressions, whatever the row or its overflows
+        h_min = np.array([-0.0, 0.0] + [f * h_max for f in fractions] + [h_max] * zero_width)
+        try:
+            expected = _moments_as_written(h_min, h_max, lam)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as raised:
+                coding._amplitude_moments(h_min, h_max, lam)
+            assert str(raised.value) == str(exc)
+            return
+        moments = coding._amplitude_moments(h_min, h_max, lam)
+        for got, want in zip(moments, expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _moments_as_written(h_min, h_max, lambda_b):
+    """``coding._amplitude_moments`` as plain expressions: the piece edges
+    by clip, concatenate and diff, the nodes by one expression."""
+    h_min = np.asarray(h_min, dtype=float)
+    a = math.sqrt(lambda_b)
+    if math.isinf(a * h_max):
+        raise NumericError("amplitude moments are not finite: sqrt(lambda_B) * h_max overflows")
+    span = h_max - h_min
+    n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
+    with np.errstate(over="ignore"):
+        cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
+    edges = np.concatenate(
+        [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
+    )
+    half = 0.5 * np.diff(edges, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
+        log_ratio = np.log1p(lambda_b * span * (h_max + h_min) / (1.0 + lambda_b * h_min * h_min))
+        log_top = math.log1p(lambda_b * h_max * h_max)
+        mean_info = (log_top - 2.0 + (h_min * log_ratio + 2.0 * atan_diff / a) / span) * LOG2E
+        mean_inv = atan_diff / (a * span)
+        h = (edges[..., :-1] + half)[..., None] + half[..., None] * coding._GL_NODES
+        deviation = np.log1p(h * h * lambda_b) * LOG2E - mean_info[..., None, None]
+        variance = (half * ((deviation * deviation) @ coding._GL_WEIGHTS)).sum(axis=-1) / span
+    point = span == 0.0
+    return (
+        np.where(point, mutual_info_fixed(h_max, lambda_b), mean_info),
+        np.where(point, 0.0, variance),
+        np.where(point, 1.0 / (1.0 + h_max * h_max * lambda_b), mean_inv),
+    )
 
 
 class TestGaussLegendreLiterals:

@@ -302,6 +302,31 @@ class TestEvaluateGrids:
                 assert list(cells) == list(alone)
                 assert cells.best() == alone.best()
 
+    @given(
+        lambdas=st.lists(st.floats(1e-300, 1e307), min_size=1, max_size=4),
+        failing_at=st.none() | st.integers(0, 4),
+        ratio=st.floats(1e-3, 1.5),
+        F=st.sampled_from((1, 2, 100)),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_channel_only_is_the_single_point_report(self, lambdas, failing_at, ratio, F, exact):
+        # the group's channel-only candidates are one channel evaluation; each
+        # must be, by repr, the point's own CH report, or its own error where a
+        # point at lambda_B = 1e308 (lambda_B * n overflows) fails the group
+        if failing_at is not None:
+            lambdas.insert(failing_at, 1e308)
+        points = [make(F=F, lambda_B=lb, lambda_T=ratio * lb) for lb in lambdas]
+        for point, cells in zip(points, evaluate_grids(points, exact_threshold=exact)):
+            try:
+                expected = repr(evaluate(point, "CH", exact).report)
+            except CrplaError as exc:
+                expected = repr(exc)
+            got = repr(cells) if isinstance(cells, CrplaError) else repr(cells.channel_only)
+            assert got == expected
+
     def test_points_differ_only_in_the_snrs(self):
         with pytest.raises(ValueError):
             evaluate_grids([make(), make(F=20)])
+        with pytest.raises(ValueError):
+            evaluate_grids([make(), make(h_min=0.5)])
