@@ -48,6 +48,25 @@ Draw order inside a block (one row per trial, rows in trial order):
   Re(y/x) for the unit-modulus pilot x = exp(i theta), and a row averages
   its pilots; no symbol is formed or divided.
 
+Two rules skip arithmetic whose outcome is already known; neither skips
+a draw, so neither touches the streams.
+
+* Sign rule (attack).  Let gap = fl(h_min + c).  A coordinate whose
+  uniform is below 1/2 is negative, h_k = -a with a = fl(h_min + |v| *
+  (h_max - h_min)) >= h_min, so |h_k - c| = fl(a + c) >= gap and its
+  square is at least fl(gap * gap).  When h_min > 0 and fl(gap * gap) >
+  radius^2, a row with any such coordinate is beyond the radius exactly:
+  rounding is monotone, and a rounded sum of non-negative terms is at
+  least each of its terms.  The kernel then transforms only the head
+  rows whose k uniforms are all at least 1/2, and only the drawn tails
+  whose first ``HEAD_COLUMNS`` uniforms are, keeping row order.  At
+  h_min = 0 the guess is the origin, no sign is wrong, and the rule is off.
+* Phase fold (pilot).  With s = 1/2 - u, theta = 2 pi u = pi - 2 pi s;
+  s and b = |s| - 1/4 in [-1/4, 1/4] are exact, and cos(theta) =
+  sin(2 pi b), sin(theta) = copysign(cos(2 pi b), s).  The libm
+  calls see arguments within pi/2, where they need no range reduction,
+  and the result is at least as accurate as cos and sin of fl(2 pi u).
+
 The attack and pilot kernels walk their block in row tiles of at most
 ``TILE_BYTES`` of draws.  A tile takes the next rows of each stream, so
 the tiles concatenate to the whole-block draw and every count, and every
@@ -86,12 +105,14 @@ BLOCK_TRIALS = 1 << 14
 # Draws held at once per block by the attack and pilot kernels; the
 # attack's amplitudes add as much again, so its working set stays within a
 # 2 MiB per-core L2 cache.  Attack head tiles take an eighth of it.  The
-# pilot kernel's phases and their cosines add one tile.  The false-alarm
+# pilot kernel's phases and folded phases add one tile.  The false-alarm
 # kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
 # Coordinates of h in an attack row's head; a row whose head is already
 # outside the radius draws no tail.
 HEAD_COLUMNS = 8
+# A row of HEAD_COLUMNS true flags viewed as one 64-bit word.
+_ALL_FLAGS = np.frombuffer(b"\x01" * HEAD_COLUMNS, dtype=np.uint64)[0]
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
 _SEED_MASK = (1 << 64) - 1
@@ -211,7 +232,7 @@ def _pilot_block(
     noise_rng = _block_rng(seed, block, 1)
     noise = np.empty((_tile_rows(rows, 2 * pilots), 2 * pilots))  # real | imaginary parts
     phase = np.empty((len(noise), pilots))
-    cos = np.empty_like(phase)
+    folded = np.empty_like(phase)
     # Each row's estimate less h, the mean of Re(y/x) - h = w_r cos(theta)
     # + w_i sin(theta) over its pilots: accumulating around the known
     # center h keeps the sum of squares from cancelling once the noise is
@@ -221,10 +242,23 @@ def _pilot_block(
         w = noise_rng.standard_normal(out=noise[: rows - start])
         w *= sigma_b
         tile = len(w)
-        theta = np.multiply(phase_rng.random(out=phase[:tile]), 2.0 * math.pi, out=phase[:tile])
-        terms = np.multiply(w[:, :pilots], np.cos(theta, out=cos[:tile]), out=cos[:tile])
-        terms += np.multiply(w[:, pilots:], np.sin(theta, out=theta), out=theta)
-        np.mean(terms, axis=1, out=deviations[start : start + tile])
+        w_r, w_i = w[:, :pilots], w[:, pilots:]
+        # The phase folded into [-pi/2, pi/2] (module docstring): with
+        # s = 1/2 - u and x = 2 pi (|s| - 1/4), cos(theta) = sin(x) and
+        # sin(theta) = copysign(cos(x), s).
+        s = np.subtract(0.5, phase_rng.random(out=phase[:tile]), out=phase[:tile])
+        x = np.abs(s, out=folded[:tile])
+        x -= 0.25
+        x *= 2.0 * math.pi
+        w_i *= np.copysign(1.0, s, out=s)  # the sign of sin(theta), exactly
+        terms = np.multiply(w_r, np.sin(x, out=s), out=s)
+        imaginary = np.multiply(w_i, np.cos(x, out=x), out=x)
+        row = deviations[start : start + tile]
+        if pilots == 1:  # the mean of one term is that term
+            np.add(terms, imaginary, out=row[:, None])
+        else:
+            terms += imaginary
+            np.mean(terms, axis=1, out=row)
     return float(np.sum(deviations)), float(np.sum(deviations * deviations))
 
 
@@ -274,8 +308,9 @@ def simulate_pilot_estimation(
 
 
 def _false_alarm_block(seed: int, block: int, rows: int, F: int, tau: float) -> int:
-    energy = _block_rng(seed, block).chisquare(F, size=rows)  # sum of F squared residuals
-    stat = (energy - F) / math.sqrt(2.0 * F)
+    stat = _block_rng(seed, block).chisquare(F, size=rows)  # sum of F squared residuals
+    stat -= F
+    stat /= math.sqrt(2.0 * F)
     return int(np.count_nonzero(stat > tau))
 
 
@@ -302,6 +337,20 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
+def _right_signs(u: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Whether each row of uniforms ``u`` has its first ``HEAD_COLUMNS``
+    entries, or all of a shorter row, at least 1/2: the rows the sign rule
+    keeps.  ``flags`` holds at least one row of ``HEAD_COLUMNS`` booleans
+    per row of ``u``."""
+    rows, cols = u.shape
+    cols = min(cols, HEAD_COLUMNS)
+    flags = flags[:rows]
+    np.greater_equal(u[:, :cols], 0.5, out=flags[:, :cols])
+    flags[:, cols:] = True
+    # A row's flags read as one word: one comparison per row, not a reduction.
+    return flags.view(np.uint64)[:, 0] == _ALL_FLAGS
+
+
 def _attack_block(
     seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
 ) -> int:
@@ -317,11 +366,19 @@ def _attack_block(
     amplitudes = np.empty_like(draws)
     # Every coordinate of the guess: the centre of the positive cube, or the origin.
     centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
+    # A negative coordinate is at least h_min + centre from the guess; where
+    # that alone leaves the ball, only rows of positive coordinates can
+    # succeed (the sign rule of the module docstring).  A tail tile holds
+    # survivors of one head tile, so head_rows rows of flags serve both.
+    gap = h_min + centre
+    if h_min > 0.0 and gap * gap > radius_sq:
+        flags = np.empty((head_rows, HEAD_COLUMNS), dtype=bool)
+    else:
+        flags = None
 
-    def distances(stream: Generator, n: int, cols: int) -> np.ndarray:
-        """Squared distances to the guess of the next n rows of cols uniforms of ``stream``."""
-        u = stream.random(out=draws[: n * cols].reshape(n, cols))
-        d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: n * cols].reshape(n, cols))
+    def distances(u: np.ndarray) -> np.ndarray:
+        """Squared distances to the guess of the rows of uniforms ``u``, which it overwrites."""
+        d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
         d -= centre
         return np.einsum("ij,ij->i", d, d)
 
@@ -329,7 +386,11 @@ def _attack_block(
     tail_rng = None
     successes = 0
     for start in range(0, rows, head_rows):
-        head = distances(rng, min(head_rows, rows - start), k)
+        n = min(head_rows, rows - start)
+        u = rng.random(out=draws[: n * k].reshape(n, k))
+        if flags is not None:
+            u = np.compress(_right_signs(u, flags), u, axis=0)
+        head = distances(u)
         # The tail adds squares and rounding is monotone, so a head beyond
         # the radius puts the whole row beyond it.
         survivors = head[head <= radius_sq]
@@ -340,7 +401,11 @@ def _attack_block(
             tail_rng = _block_rng(seed, block, 1)
         for first in range(0, len(survivors), tail_rows):
             dist = survivors[first : first + tail_rows]
-            dist += distances(tail_rng, len(dist), tail_cols)
+            u = tail_rng.random(out=draws[: len(dist) * tail_cols].reshape(len(dist), tail_cols))
+            if flags is not None:
+                keep = _right_signs(u, flags)
+                dist, u = dist[keep], np.compress(keep, u, axis=0)
+            dist += distances(u)
             successes += int(np.count_nonzero(dist <= radius_sq))
     return successes
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpla import channel, cli, montecarlo
 from crpla.montecarlo import (
@@ -146,6 +148,48 @@ class TestPilotEstimation:
     def test_rejects_zero_pilots(self):
         with pytest.raises(ValueError):
             simulate_pilot_estimation(1.0, 100.0, 0, 10, seed=0)
+
+
+class _FixedStream:
+    """Stands in for a block stream: every draw fills ``out`` with ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[...] = self.values
+        return out
+
+    standard_normal = random
+
+
+class TestPilotPhaseFold:
+    """The pilot kernel folds the phase 2 pi u into [-pi/2, pi/2] before
+    calling ``sin`` and ``cos``; the folded values must be those of the
+    unfolded phase, and the moments those of version 6."""
+
+    EDGES = [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0 - 2.0**-53]
+
+    @staticmethod
+    def term(monkeypatch, u, noise):
+        """The kernel's w_r cos(theta) + w_i sin(theta) at theta = 2 pi u and w = ``noise``."""
+        streams = {0: _FixedStream(u), 1: _FixedStream(noise)}
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block, child: streams[child])
+        return montecarlo._pilot_block(0, 0, 1, 1.0, 1.0, 1)[0]
+
+    def test_cos_and_sin_match_libm(self, monkeypatch):
+        phases = self.EDGES + list(np.random.default_rng(45).random(200))
+        for u in phases:
+            theta = 2.0 * math.pi * u
+            assert abs(self.term(monkeypatch, u, [1.0, 0.0]) - math.cos(theta)) <= 1e-15, u
+            assert abs(self.term(monkeypatch, u, [0.0, 1.0]) - math.sin(theta)) <= 1e-15, u
+
+    def test_one_pilot_moments_pinned(self):
+        # One pilot, as at the benchmark's point, writes each row's term
+        # without a mean over pilots.
+        moments = simulate_pilot_estimation(1.0, 100.0, 1, PIN_TRIALS, seed=23)
+        assert moments.mean == pytest.approx(0.9999958019816554, rel=1e-12)
+        assert moments.variance == pytest.approx(0.009999641873564868, rel=1e-12)
 
 
 class TestFalseAlarm:
@@ -320,6 +364,48 @@ class TestHeadRejection:
             assert np.any((head == dist) & (dist == radius_sq)), radius_sq
             got = montecarlo._attack_block(42, 0, 2000, F, 1.0, 1.0, radius_sq)
             assert got == np.count_nonzero(dist <= radius_sq), radius_sq
+
+
+class TestSignRule:
+    """Where h_min > 0 and one negative coordinate already puts a row
+    beyond the radius, the attack kernel transforms only the rows whose
+    head, and then tail, signs are positive.  Its counts must equal those
+    of the unfiltered v6 kernel, which ``_attack_distances`` assembles from
+    every head, on both sides of the radius^2 where the rule turns on."""
+
+    @given(
+        F=st.sampled_from([8, 9, 16, 100]),
+        h_min=st.floats(0.01, 0.99),
+        side=st.sampled_from(["spread", "below_gap", "gap", "above_gap"]),
+        spread=st.floats(0.05, 3.0),
+        rows=st.integers(1, 3000),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_unfiltered_kernel(self, F, h_min, side, spread, rows, seed):
+        centre = h_min + (1.0 - h_min) / 2.0
+        gap_sq = (h_min + centre) * (h_min + centre)
+        # "spread": a multiple of the mean distance of a row of positive
+        # coordinates, F (1 - h_min)^2 / 12, so that rows succeed while the
+        # rule is on; the others straddle the rule's threshold gap^2.
+        radius_sq = {
+            "spread": spread * F * (1.0 - h_min) ** 2 / 12.0,
+            "below_gap": math.nextafter(gap_sq, 0.0),
+            "gap": gap_sq,
+            "above_gap": spread * gap_sq + gap_sq,
+        }[side]
+        expected = _attack_distances(seed, rows, F, h_min, 1.0, radius_sq) <= radius_sq
+        got = montecarlo._attack_block(seed, 0, rows, F, h_min, 1.0, radius_sq)
+        assert got == np.count_nonzero(expected)
+
+    def test_pinned_where_the_rule_is_on_and_rows_succeed(self):
+        # TestStreamContract pins only h_min = 0, where the rule is off.  Here
+        # gap^2 = 1.5625 against a radius^2 of 0.32.
+        params = make(F=9, h_min=0.5, lambda_B=50.0, lambda_T=50.0, pilot_count=1)
+        r = radius(params, channel.threshold_from_pfa(params.p_FA, params.F))
+        assert (0.5 + 0.75) ** 2 > r * r
+        counts = [measure_attack_success(params, r, BLOCK_TRIALS, s).successes for s in range(8)]
+        assert counts == [34, 29, 32, 29, 31, 29, 37, 29]
 
 
 class TestAttackLaw:

@@ -25,7 +25,7 @@ code, stdout and stderr.  Two trees give the same bytes at every seed
 when the outputs of the two runs do not differ::
 
     PYTHONPATH=src python tests/verdict_survey.py --digest --trials 16384 \\
-        --seeds 1-300 high_snr_f100 high_snr_f1000 > digests.txt
+        --seeds 1-300 high_snr_f100 high_snr_f1000 sign_rule_f9 > digests.txt
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ NOMINAL_RATE = math.erfc(3.0 / math.sqrt(2.0))
 # radius_over_fit 1.6, a bound of 0.68 over a centre-guess rate of 0.47.
 # ``high_snr_f100`` and ``high_snr_f1000``: the shipped point at F = 100
 # and F = 1000, the inputs of the Monte Carlo benchmark workloads.
+# ``sign_rule_f9``: h_min > 0 with a radius^2 of 0.32 below the sign
+# rule's gap^2 of 1.5625, so the attack kernel transforms only rows of
+# positive coordinates, and about 0.2% of rows still succeed.
 _HIGH_SNR = read_json_object(str(ROOT / "configs" / "point_high_snr.json"))
 POINTS = {
     "clamp": SystemParams(
@@ -72,6 +75,9 @@ POINTS = {
     ),
     "high_snr_f100": params_from_config(dict(_HIGH_SNR, F=100)),
     "high_snr_f1000": params_from_config(dict(_HIGH_SNR, F=1000)),
+    "sign_rule_f9": SystemParams(
+        n=10, F=9, pilot_count=1, b_M=0, p_FA=0.05, lambda_B=50.0, lambda_T=50.0, h_min=0.5
+    ),
 }
 
 
