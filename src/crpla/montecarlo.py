@@ -26,7 +26,9 @@ Draw order inside a block (one row per trial, rows in trial order):
 * false alarm: one chi-square variate with F degrees of freedom,
   ``Generator.chisquare(F)``, the energy of the F scaled residuals
   (h_hat - h)/sigma; neither the residuals nor the challenge h, which
-  cancels from the statistic, are drawn;
+  cancels from the statistic, are drawn.  numpy computes chisquare(F) as
+  2 * standard_gamma(F/2), so the kernel draws ``standard_gamma(F / 2)``
+  into its own array and doubles it: the same bits, with no new array;
 * attack: a head of k = min(F, ``HEAD_COLUMNS``) coordinates of the
   challenge h, k uniforms from the block's stream.  Only a row whose head
   distance is within the radius draws its tail, the other F - k
@@ -61,11 +63,25 @@ a draw, so neither touches the streams.
   rows whose k uniforms are all at least 1/2, and only the drawn tails
   whose first ``HEAD_COLUMNS`` uniforms are, keeping row order.  At
   h_min = 0 the guess is the origin, no sign is wrong, and the rule is off.
-* Phase fold (pilot).  With s = 1/2 - u, theta = 2 pi u = pi - 2 pi s;
-  s and b = |s| - 1/4 in [-1/4, 1/4] are exact, and cos(theta) =
-  sin(2 pi b), sin(theta) = copysign(cos(2 pi b), s).  The libm
-  calls see arguments within pi/2, where they need no range reduction,
-  and the result is at least as accurate as cos and sin of fl(2 pi u).
+* Octant fold (pilot).  With s = 1/2 - u, theta = 2 pi u = pi - 2 pi s;
+  s, b = |s| - 1/4, c = |b| and r = min(c, 1/4 - c) in [0, 1/8] are all
+  exact (Sterbenz), and cos(theta) = copysign(sin(2 pi c), b), sin(theta)
+  = copysign(cos(2 pi c), s).  With y = 2 pi r in [0, pi/4], sin(2 pi c)
+  and cos(2 pi c) are sin y and cos y where c <= 1/8 and the other way
+  round where c > 1/8.  libm is called once, for sin y, on an argument
+  that needs no range reduction; cos y is sqrt((1 - sin y)(1 + sin y)),
+  well conditioned on [0, pi/4].  The signs and the swap are applied to
+  the noise, by exact sign products and 0/1 blends.  Against a 40-digit
+  reference the folded cos and sin are within 2.1e-16 over 20013 phases,
+  where cos and sin of fl(2 pi u) are off by up to 6.9e-16.
+
+Every array a kernel touches is a disjoint view of one float64 scratch
+arena per thread (``threading.local``), carved afresh by each call and
+kept between calls: each ``--jobs`` worker thread has its own, a call
+allocates no tile once the arena fits it, and its pages stay mapped
+instead of faulting in again.  The arena grows, only when a call needs
+more, to the largest single kernel call's need, which the tile budget
+bounds; no call reads what an earlier one left in it.
 
 The attack and pilot kernels walk their block in row tiles of at most
 ``TILE_BYTES`` of draws.  A tile takes the next rows of each stream, so
@@ -75,14 +91,15 @@ worker stays bounded as F and pilot_count grow.
 
 This is version 6 of the reproducibility contract; its results are
 pinned by ``tests/test_montecarlo.py::TestStreamContract``.  The gamma
-sampler behind ``chisquare`` calls the platform's ``log`` (and ``pow`` at
-F = 1), so a false-alarm count, like a pilot moment through ``cos`` and
-``sin``, can differ where libm rounds differently.
+sampler calls the platform's ``log`` (and ``pow`` at F = 1), so a
+false-alarm count, like a pilot moment through ``sin``, can differ where
+libm rounds differently.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,10 +121,14 @@ __all__ = [
 BLOCK_TRIALS = 1 << 14
 # Draws held at once per block by the attack and pilot kernels; the
 # attack's amplitudes add as much again, so its working set stays within a
-# 2 MiB per-core L2 cache.  Attack head tiles take an eighth of it.  The
-# pilot kernel's phases and folded phases add one tile.  The false-alarm
+# 2 MiB per-core L2 cache.  The pilot kernel's phases and the real and
+# imaginary parts of its noise add one and a half tiles.  The false-alarm
 # kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
+# Attack head tiles take TILE_BYTES / HEAD_TILE_SHARE: where heads decide
+# almost every row, as at the paper's operating points, they are most of
+# the memory a block touches.
+HEAD_TILE_SHARE = 4
 # Coordinates of h in an attack row's head; a row whose head is already
 # outside the radius draws no tail.
 HEAD_COLUMNS = 8
@@ -116,6 +137,8 @@ _ALL_FLAGS = np.frombuffer(b"\x01" * HEAD_COLUMNS, dtype=np.uint64)[0]
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
 _SEED_MASK = (1 << 64) - 1
+# Each thread's scratch arena (module docstring), made on first use.
+_scratch = threading.local()
 
 
 def _block_rng(seed: int, *spawn_key: int) -> Generator:
@@ -138,6 +161,24 @@ def _tile_rows(rows: int, cols: int, share: int = 1) -> int:
     """Rows of ``cols`` float64 draws in a tile of ``TILE_BYTES // share``
     bytes: at least one, and at most the block's ``rows``."""
     return min(rows, max(1, TILE_BYTES // share // (8 * cols)))
+
+
+def _views(*sizes: int) -> list[np.ndarray]:
+    """Disjoint float64 views of ``sizes`` elements each, carved in order
+    from this thread's scratch arena, which grows to fit them if it must."""
+    arena = getattr(_scratch, "arena", None)
+    if arena is None or len(arena) < sum(sizes):
+        arena = _scratch.arena = np.empty(sum(sizes))
+    views, start = [], 0
+    for size in sizes:
+        views.append(arena[start : start + size])
+        start += size
+    return views
+
+
+def _flag_size(count: int) -> int:
+    """float64 elements that hold ``count`` booleans."""
+    return -(-count // 8)
 
 
 def _map_blocks(block_fn: Callable[[int, int], object], trials: int, jobs: int) -> list:
@@ -230,36 +271,66 @@ def _pilot_block(
 ) -> tuple[float, float]:
     phase_rng = _block_rng(seed, block, 0)
     noise_rng = _block_rng(seed, block, 1)
-    noise = np.empty((_tile_rows(rows, 2 * pilots), 2 * pilots))  # real | imaginary parts
-    phase = np.empty((len(noise), pilots))
-    folded = np.empty_like(phase)
+    tile_rows = _tile_rows(rows, 2 * pilots)
+    cells = tile_rows * pilots
     # Each row's estimate less h, the mean of Re(y/x) - h = w_r cos(theta)
     # + w_i sin(theta) over its pilots: accumulating around the known
     # center h keeps the sum of squares from cancelling once the noise is
-    # much smaller than h.
-    deviations = np.empty(rows)
-    for start in range(0, rows, len(noise)):
+    # much smaller than h.  The tiles' space holds their squares at the end.
+    deviations, work = _views(rows, max(rows, 5 * cells))
+    noise = work[: 2 * cells].reshape(tile_rows, 2 * pilots)  # real | imaginary parts
+    # Once a tile's noise is scaled into its real and imaginary arrays, the
+    # noise space holds two phase temporaries.
+    low, high, phase, real, imaginary = (
+        work[i * cells : (i + 1) * cells].reshape(tile_rows, pilots) for i in range(5)
+    )
+    for start in range(0, rows, tile_rows):
         w = noise_rng.standard_normal(out=noise[: rows - start])
-        w *= sigma_b
         tile = len(w)
-        w_r, w_i = w[:, :pilots], w[:, pilots:]
-        # The phase folded into [-pi/2, pi/2] (module docstring): with
-        # s = 1/2 - u and x = 2 pi (|s| - 1/4), cos(theta) = sin(x) and
-        # sin(theta) = copysign(cos(x), s).
+        # Contiguous parts: the arithmetic below would take about three
+        # times as long on the interleaved columns.
+        w_r = np.multiply(w[:, :pilots], sigma_b, out=real[:tile])
+        w_i = np.multiply(w[:, pilots:], sigma_b, out=imaginary[:tile])
+        # The octant fold (module docstring): s = 1/2 - u, b = |s| - 1/4,
+        # c = |b| and y = 2 pi min(c, 1/4 - c); cos(theta) = copysign(sin
+        # 2 pi c, b) and sin(theta) = copysign(cos 2 pi c, s), where sin 2 pi c
+        # and cos 2 pi c are sin y and cos y, swapped where c > 1/8.  The
+        # signs and the swap go onto the noise, exactly.
         s = np.subtract(0.5, phase_rng.random(out=phase[:tile]), out=phase[:tile])
-        x = np.abs(s, out=folded[:tile])
-        x -= 0.25
-        x *= 2.0 * math.pi
-        w_i *= np.copysign(1.0, s, out=s)  # the sign of sin(theta), exactly
-        terms = np.multiply(w_r, np.sin(x, out=s), out=s)
-        imaginary = np.multiply(w_i, np.cos(x, out=x), out=x)
+        b = np.abs(s, out=low[:tile])
+        b -= 0.25
+        w_i *= np.copysign(1.0, s, out=s)
+        w_r *= np.copysign(1.0, b, out=s)
+        c = np.abs(b, out=b)
+        y = np.minimum(c, np.subtract(0.25, c, out=s), out=s)
+        # 1.0 where c > 1/8, else 0.0; a comparison written straight to a
+        # float array would cast through a temporary buffer.
+        above = high.reshape(-1).view(bool)[: c.size].reshape(c.shape)
+        swap = c
+        np.copyto(swap, np.greater(c, 0.125, out=above))
+        # 0/1 blends: the noise on sin y becomes w_i where c > 1/8 and stays
+        # w_r elsewhere, and the noise on cos y the other.
+        r_swap = np.multiply(w_r, swap, out=high[:tile])
+        i_swap = np.multiply(w_i, swap, out=swap)
+        w_r -= r_swap
+        w_r += i_swap
+        w_i -= i_swap
+        w_i += r_swap
+        y *= 2.0 * math.pi
+        sin_y = np.sin(y, out=y)
+        cos_y = np.subtract(1.0, sin_y, out=low[:tile])
+        cos_y *= np.add(1.0, sin_y, out=high[:tile])
+        np.sqrt(cos_y, out=cos_y)
+        terms = np.multiply(w_r, sin_y, out=sin_y)
+        terms_i = np.multiply(w_i, cos_y, out=cos_y)
         row = deviations[start : start + tile]
         if pilots == 1:  # the mean of one term is that term
-            np.add(terms, imaginary, out=row[:, None])
+            np.add(terms, terms_i, out=row[:, None])
         else:
-            terms += imaginary
+            terms += terms_i
             np.mean(terms, axis=1, out=row)
-    return float(np.sum(deviations)), float(np.sum(deviations * deviations))
+    squares = np.multiply(deviations, deviations, out=work[:rows])
+    return float(np.sum(deviations)), float(np.sum(squares))
 
 
 def simulate_pilot_estimation(
@@ -308,10 +379,14 @@ def simulate_pilot_estimation(
 
 
 def _false_alarm_block(seed: int, block: int, rows: int, F: int, tau: float) -> int:
-    stat = _block_rng(seed, block).chisquare(F, size=rows)  # sum of F squared residuals
+    stat, above = _views(rows, _flag_size(rows))
+    # The sum of F squared residuals: chisquare(F) is 2 * standard_gamma(F / 2),
+    # bit for bit, and standard_gamma fills a given array.
+    _block_rng(seed, block).standard_gamma(F / 2.0, out=stat)
+    stat *= 2.0
     stat -= F
     stat /= math.sqrt(2.0 * F)
-    return int(np.count_nonzero(stat > tau))
+    return int(np.count_nonzero(np.greater(stat, tau, out=above.view(bool)[:rows])))
 
 
 def measure_false_alarm(
@@ -337,18 +412,24 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
-def _right_signs(u: np.ndarray, flags: np.ndarray) -> np.ndarray:
+def _right_signs(u: np.ndarray, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Whether each row of uniforms ``u`` has its first ``HEAD_COLUMNS``
     entries, or all of a shorter row, at least 1/2: the rows the sign rule
-    keeps.  ``flags`` holds at least one row of ``HEAD_COLUMNS`` booleans
-    per row of ``u``."""
+    keeps, written to ``out``.  ``flags`` holds at least one row of
+    ``HEAD_COLUMNS`` booleans per row of ``u``."""
     rows, cols = u.shape
     cols = min(cols, HEAD_COLUMNS)
     flags = flags[:rows]
     np.greater_equal(u[:, :cols], 0.5, out=flags[:, :cols])
     flags[:, cols:] = True
     # A row's flags read as one word: one comparison per row, not a reduction.
-    return flags.view(np.uint64)[:, 0] == _ALL_FLAGS
+    return np.equal(flags.view(np.uint64)[:, 0], _ALL_FLAGS, out=out[:rows])
+
+
+def _compress(keep: np.ndarray, a: np.ndarray, space: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` where ``keep`` holds, in order, written to the start of ``space``."""
+    shape = (int(np.count_nonzero(keep)), *a.shape[1:])
+    return np.compress(keep, a, axis=0, out=space[: math.prod(shape)].reshape(shape))
 
 
 def _attack_block(
@@ -356,31 +437,34 @@ def _attack_block(
 ) -> int:
     k = min(F, HEAD_COLUMNS)
     tail_cols = F - k
-    # Where heads decide almost every row, as at the paper's operating
-    # points, the head tiles are most of the memory a block touches; an
-    # eighth of a tile keeps that small.
-    head_rows = _tile_rows(rows, k, share=8)
+    head_rows = _tile_rows(rows, k, share=HEAD_TILE_SHARE)
     tail_rows = _tile_rows(rows, tail_cols) if tail_cols else 0
-    # Head and tail tiles share the two buffers, sized to what the block needs.
-    draws = np.empty(max(head_rows * k, tail_rows * tail_cols))
-    amplitudes = np.empty_like(draws)
+    # Head and tail tiles share the space, sized to what the block needs:
+    # per head row, its distance, a survivor's distance, a tail row's
+    # distance, HEAD_COLUMNS flags and a mask bit; then the draws, and the
+    # rows the sign rule keeps or the amplitudes.  A tail tile holds
+    # survivors of one head tile, so head_rows rows serve both.
+    size = max(head_rows * k, tail_rows * tail_cols)
+    head_space, survivor_space, tail_space, flags, mask, draws, kept = _views(
+        head_rows, head_rows, head_rows, head_rows, _flag_size(head_rows), size, size
+    )
+    flags = flags.view(bool).reshape(head_rows, HEAD_COLUMNS)
+    mask = mask.view(bool)
     # Every coordinate of the guess: the centre of the positive cube, or the origin.
     centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
     # A negative coordinate is at least h_min + centre from the guess; where
     # that alone leaves the ball, only rows of positive coordinates can
-    # succeed (the sign rule of the module docstring).  A tail tile holds
-    # survivors of one head tile, so head_rows rows of flags serve both.
+    # succeed (the sign rule of the module docstring).  Their uniforms move
+    # to ``kept`` and their amplitudes go over the draws.
     gap = h_min + centre
-    if h_min > 0.0 and gap * gap > radius_sq:
-        flags = np.empty((head_rows, HEAD_COLUMNS), dtype=bool)
-    else:
-        flags = None
+    sign_rule = h_min > 0.0 and gap * gap > radius_sq
+    amplitudes = draws if sign_rule else kept
 
-    def distances(u: np.ndarray) -> np.ndarray:
+    def distances(u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Squared distances to the guess of the rows of uniforms ``u``, which it overwrites."""
         d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
         d -= centre
-        return np.einsum("ij,ij->i", d, d)
+        return np.einsum("ij,ij->i", d, d, out=out[: len(d)])
 
     rng = _block_rng(seed, block)
     tail_rng = None
@@ -388,25 +472,29 @@ def _attack_block(
     for start in range(0, rows, head_rows):
         n = min(head_rows, rows - start)
         u = rng.random(out=draws[: n * k].reshape(n, k))
-        if flags is not None:
-            u = np.compress(_right_signs(u, flags), u, axis=0)
-        head = distances(u)
+        if sign_rule:
+            u = _compress(_right_signs(u, flags, mask), u, kept)
+        head = distances(u, head_space)
         # The tail adds squares and rounding is monotone, so a head beyond
         # the radius puts the whole row beyond it.
-        survivors = head[head <= radius_sq]
-        if not tail_cols or not len(survivors):
-            successes += len(survivors)
+        within = np.less_equal(head, radius_sq, out=mask[: len(head)])
+        if not tail_cols:
+            successes += int(np.count_nonzero(within))
+            continue
+        survivors = _compress(within, head, survivor_space)
+        if not len(survivors):
             continue
         if tail_rng is None:
             tail_rng = _block_rng(seed, block, 1)
         for first in range(0, len(survivors), tail_rows):
             dist = survivors[first : first + tail_rows]
             u = tail_rng.random(out=draws[: len(dist) * tail_cols].reshape(len(dist), tail_cols))
-            if flags is not None:
-                keep = _right_signs(u, flags)
-                dist, u = dist[keep], np.compress(keep, u, axis=0)
-            dist += distances(u)
-            successes += int(np.count_nonzero(dist <= radius_sq))
+            if sign_rule:
+                keep = _right_signs(u, flags, mask)
+                dist, u = _compress(keep, dist, tail_space), _compress(keep, u, kept)
+            dist += distances(u, head_space)
+            within = np.less_equal(dist, radius_sq, out=mask[: len(dist)])
+            successes += int(np.count_nonzero(within))
     return successes
 
 

@@ -5,10 +5,15 @@ the same machinery runs at reduced trial counts with seeded draws.
 """
 
 import ast
+import collections
+import contextlib
 import dataclasses
+import io
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +30,7 @@ from crpla.montecarlo import (
     simulate_pilot_estimation,
     wilson_interval,
 )
-from crpla.params import SystemParams
+from crpla.params import SystemParams, params_from_config, read_json_object
 from crpla.specfun import chi_square_isf, chi_square_sf
 
 
@@ -164,11 +169,15 @@ class _FixedStream:
 
 
 class TestPilotPhaseFold:
-    """The pilot kernel folds the phase 2 pi u into [-pi/2, pi/2] before
-    calling ``sin`` and ``cos``; the folded values must be those of the
-    unfolded phase, and the moments those of version 6."""
+    """The pilot kernel folds the phase 2 pi u into [0, pi/4] before calling
+    ``sin`` once; the folded values must be those of the unfolded phase,
+    and the moments those of version 6."""
 
-    EDGES = [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0 - 2.0**-53]
+    # The quadrant and octant boundaries, and the floats next to the octant ones.
+    OCTANTS = [0.125, 0.375, 0.625, 0.875]
+    EDGES = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0 - 2.0**-53] + [
+        math.nextafter(u, toward) for u in OCTANTS for toward in (0.0, 1.0)
+    ]
 
     @staticmethod
     def term(monkeypatch, u, noise):
@@ -432,6 +441,69 @@ class TestAttackLaw:
 
 # Two full blocks and a partial one.
 PIN_TRIALS = 2 * BLOCK_TRIALS + 1000
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class _CountingStream:
+    """A block stream that counts the uniforms drawn from it, by spawn-key depth."""
+
+    def __init__(self, rng, depth, counts):
+        self.rng, self.depth, self.counts = rng, depth, counts
+
+    def random(self, out):
+        self.counts[self.depth] += out.size
+        return self.rng.random(out=out)
+
+
+class TestShippedPointTiles:
+    """Counts at the benchmark's inputs, the shipped point (h_min 0.9) at
+    F = 100 and 1000, must not depend on the tile size or the head tiles'
+    share of it.  TestStreamContract pins only h_min = 0.
+
+    At the shipped radius the sign rule is on, no row succeeds, and at
+    F = 1000 about 60 rows a block keep their head and draw a tail, so the
+    tail uniforms drawn are pinned too.  At radius^2 = 1.805 F, above the
+    rule's gap^2 of 3.42, the rule is off and rows with fewer than about
+    half their signs wrong succeed.  The values were taken from the kernel
+    with eighth-of-a-tile head tiles.
+    """
+
+    # F -> per seed 1, 2, 3: (successes, tail uniforms drawn) at the shipped
+    # radius over PIN_TRIALS
+    SHIPPED = {
+        100: [(0, 92), (0, 0), (0, 92)],
+        1000: [(0, 121024), (0, 123008), (0, 123008)],
+    }
+    # F -> (trials, successes per seed 1, 2, 3) at the rule-off radius
+    RULE_OFF = {100: (PIN_TRIALS, [16763, 16745, 16747]), 1000: (3000, [1511, 1466, 1475])}
+
+    @pytest.mark.parametrize("share", [1, 4, 8])
+    @pytest.mark.parametrize("tile_bytes", [None, 7 * 8 * 100], ids=["tiles", "small_tiles"])
+    @pytest.mark.parametrize("F", [100, 1000])
+    def test_counts_pinned(self, monkeypatch, F, tile_bytes, share):
+        if tile_bytes is not None:
+            monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(montecarlo, "HEAD_TILE_SHARE", share)
+        shipped = read_json_object(str(ROOT / "configs" / "point_high_snr.json"))
+        params = params_from_config(dict(shipped, F=F))
+        geometry = channel.equivalent_key_bits(params, params.p_FA)
+        block_rng = montecarlo._block_rng
+        got = []
+        for seed in (1, 2, 3):
+            counts = collections.Counter()
+
+            def counting(s, *key, counts=counts):
+                return _CountingStream(block_rng(s, *key), len(key), counts)
+
+            monkeypatch.setattr(montecarlo, "_block_rng", counting)
+            batch = measure_attack_success(params, geometry.radius, PIN_TRIALS, seed)
+            got.append((batch.successes, counts[2]))
+        assert got == self.SHIPPED[F]
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+        trials, expected = self.RULE_OFF[F]
+        r = math.sqrt(1.805 * F)
+        got = [measure_attack_success(params, r, trials, s).successes for s in (1, 2, 3)]
+        assert got == expected
 
 
 def _pinned_run(F, jobs=1):
@@ -562,6 +634,12 @@ class TestSeedingPoint:
         assert self._streams(monkeypatch, run) == sorted(self.BLOCKS + with_tails)
 
 
+def _in_fresh_thread(fn, *args):
+    """``fn(*args)`` in a new thread, which starts with no scratch arena."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def _peak_bytes(kernel, *args):
     tracemalloc.start()
     try:
@@ -571,9 +649,21 @@ def _peak_bytes(kernel, *args):
         tracemalloc.stop()
 
 
+def _arena_and_peak(kernel, *args):
+    """The bytes of the scratch arena a fresh thread holds after one
+    ``kernel(*args)`` call, and the call's peak traced allocation."""
+
+    def run():
+        peak = _peak_bytes(kernel, *args)
+        return montecarlo._scratch.arena.nbytes, peak
+
+    return _in_fresh_thread(run)
+
+
 class TestBoundedMemory:
-    """One block's peak allocation is set by the tile budget, not by F, and
-    a run's by the tiles of its worker threads.
+    """One block's scratch arena, and so its peak allocation, is set by the
+    tile budget, not by F; a run's by the arenas of its worker threads.
+    Each case runs in a fresh thread, whose arena starts empty.
 
     Untiled, 2048 rows of the attack at F=1000 would hold 64 MiB, and of
     the pilot estimation at 1000 pilots about 110 MiB.  A quarter tile of
@@ -582,29 +672,119 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("F", [1000, 4000])
     def test_attack_block(self, F):
-        peak = _peak_bytes(montecarlo._attack_block, 1, 0, 2048, F, 0.0, 1.0, 0.6 * F)
-        assert peak < 2.25 * montecarlo.TILE_BYTES  # draws and amplitudes of one tile
+        arena, peak = _arena_and_peak(montecarlo._attack_block, 1, 0, 2048, F, 0.0, 1.0, 0.6 * F)
+        # the draws, and the kept rows or amplitudes, of one tile
+        assert arena <= peak < 2.25 * montecarlo.TILE_BYTES
 
     @pytest.mark.parametrize("F", [1000, 4000])
     def test_false_alarm_block(self, F):
-        peak = _peak_bytes(montecarlo._false_alarm_block, 1, 0, 2048, F, 1.6)
-        assert peak < 1.25 * montecarlo.TILE_BYTES  # one chi-square value per row
+        arena, peak = _arena_and_peak(montecarlo._false_alarm_block, 1, 0, 2048, F, 1.6)
+        assert arena <= peak < 0.25 * montecarlo.TILE_BYTES  # one chi-square value per row
 
     @pytest.mark.parametrize("pilots", [100, 1000])
     def test_pilot_block(self, pilots):
-        peak = _peak_bytes(montecarlo._pilot_block, 1, 0, 2048, 1.0, 0.1, pilots)
-        assert peak < 3.75 * montecarlo.TILE_BYTES  # noise, phases and two complex tiles
+        arena, peak = _arena_and_peak(montecarlo._pilot_block, 1, 0, 2048, 1.0, 0.1, pilots)
+        # the noise tile, and its real and imaginary parts and the phases in half tiles
+        assert arena <= peak < 2.75 * montecarlo.TILE_BYTES
+
+    def test_arena_is_held_between_calls(self):
+        # At the benchmark's input, the shipped point (F 1000, h_min 0.9,
+        # radius^2 0.0123, 1 pilot), a second round of calls allocates no
+        # tile: the smallest, the false-alarm values, takes 128 KiB.
+        calls = [
+            (montecarlo._false_alarm_block, 1, 0, BLOCK_TRIALS, 1000, 5.0),
+            (montecarlo._attack_block, 1, 0, BLOCK_TRIALS, 1000, 0.9, 1.0, 0.0123),
+            (montecarlo._pilot_block, 1, 0, BLOCK_TRIALS, 1.0, 0.003, 1),
+        ]
+
+        def twice():
+            arenas, peaks = [], []
+            for _ in range(2):
+                peaks.append([_peak_bytes(*call) for call in calls])
+                arenas.append(montecarlo._scratch.arena)
+            return arenas, peaks
+
+        arenas, (first, second) = _in_fresh_thread(twice)
+        assert arenas[0] is arenas[1]
+        assert first[0] > 8 * BLOCK_TRIALS  # the first call made the arena
+        assert max(second) < BLOCK_TRIALS
 
     def test_two_worker_threads(self, monkeypatch):
         # Four short blocks keep both threads busy, and the run holds at most
-        # two blocks' draws and amplitudes at once.  The pool's module is
-        # imported first: its one-time import is no part of a run's working set.
+        # two arenas, one per thread.  The pool's module is imported first:
+        # its one-time import is no part of a run's working set.
         import concurrent.futures  # noqa: F401
 
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 2048)
         params = make(F=1000, h_min=0.0, pilot_count=1)
         peak = _peak_bytes(measure_attack_success, params, radius(params, 1.6), 4 * 2048, 1, 2)
         assert peak < 2 * 2.25 * montecarlo.TILE_BYTES
+
+
+class TestScratchArena:
+    """A thread's arena is reused across calls of every shape, so no call
+    may read what an earlier one left in it: each result must equal the
+    same call made in a fresh thread."""
+
+    # (F, pilots): large, then small, then large again.
+    SEQUENCE = [(1000, 4), (2, 1), (1000, 4)]
+    TRIALS = BLOCK_TRIALS + 1000  # a full block, then a partial one
+
+    @classmethod
+    def run(cls, F, pilots):
+        results = []
+        for params in (make(F=F, h_min=0.0), make(F=F, h_min=0.5)):  # the sign rule off, then on
+            tau = channel.threshold_from_pfa(params.p_FA, params.F)
+            results.append(measure_false_alarm(params, tau, cls.TRIALS, seed=21))
+            results.append(measure_attack_success(params, math.sqrt(F / 3.0), cls.TRIALS, seed=22))
+        results.append(simulate_pilot_estimation(1.0, 100.0, pilots, cls.TRIALS, seed=23))
+        return results
+
+    @pytest.mark.parametrize("tile_bytes", [None, 7 * 8 * 2000], ids=["tiles", "small_tiles"])
+    def test_results_equal_fresh_thread_runs(self, monkeypatch, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
+        one_thread = _in_fresh_thread(lambda: [self.run(*case) for case in self.SEQUENCE])
+        assert one_thread == [_in_fresh_thread(self.run, *case) for case in self.SEQUENCE]
+
+    def test_many_threads_keep_their_own_arenas(self, monkeypatch):
+        # Eight worker threads on short blocks, switching as often as the
+        # interpreter allows: a block that wrote into another thread's arena
+        # would move a count or a moment.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1024)
+
+        def run(jobs):
+            params = make(F=100, h_min=0.5)
+            tau = channel.threshold_from_pfa(params.p_FA, params.F)
+            trials = 16 * 1024 + 100
+            return (
+                measure_false_alarm(params, tau, trials, seed=31, jobs=jobs),
+                # About half the rows succeed, then about 0.2% with the sign rule on.
+                measure_attack_success(params, math.sqrt(115.0), trials, 32, jobs),
+                measure_attack_success(make(F=9, h_min=0.5), math.sqrt(0.32), trials, 32, jobs),
+                simulate_pilot_estimation(1.0, 100.0, 3, trials, seed=33, jobs=jobs),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == run(1)
+
+    def test_simulate_output_is_unchanged_by_a_call_between(self):
+        def simulate(config):
+            argv = ["simulate", "--config", config, "--trials", str(self.TRIALS), "--seed", "3"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + ["--jobs", "1"])
+            return code, out.getvalue()
+
+        shipped = str(ROOT / "configs" / "point_high_snr.json")  # F 100, 1 pilot
+        first = simulate(shipped)
+        simulate(str(ROOT / "configs" / "validate_small_f.json"))  # F 2, 10 pilots
+        assert simulate(shipped) == first
 
 
 def test_imports_no_analytic_module():
