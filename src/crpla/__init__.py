@@ -11,7 +11,6 @@ from .channel import (
     ChannelGeometry,
     equivalent_key_bits,
     sigma_h_sq,
-    test_statistic,
     threshold_from_pfa,
 )
 from .coding import (
@@ -89,7 +88,6 @@ __all__ = [
     "q_inverse",
     "sigma_h_sq",
     "simulate_pilot_estimation",
-    "test_statistic",
     "threshold_from_pfa",
     "validate",
 ]

@@ -20,6 +20,11 @@ radius: at most 1, b_ch is exact against the best attacker; above 1 the
 ball pokes out of S, every attacker does worse than the closed form, and
 b_ch is a conservative (low) count of key bits.
 
+b_ch is taken in units of h_max, where it reads only the peak SNR
+S = lambda_B * h_max^2 and the floor g = h_min / h_max (see
+``crpla.params``): radius / span = sqrt(chi / (S * pilots)) / (1 - g).
+Only the absolute fields a report prints read lambda_B and h_max.
+
 All volumes are handled in log2 to stay finite for F in the thousands.
 """
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidPilotCount
+from .errors import DomainError, InvalidPilotCount
 from .params import PointGroup, SystemParams
 from .specfun import chi_square_isf, log_gamma, q_inverse
 
@@ -39,7 +44,6 @@ __all__ = [
     "sigma_h_sq",
     "threshold_from_pfa",
     "chi_square_point",
-    "test_statistic",
     "geometry",
     "equivalent_key_bits",
     "as_floats",
@@ -81,10 +85,15 @@ def sigma_h_sq(params: SystemParams | PointGroup, pilot_count=None):
     ``pilot_count`` defaults to the configured count; an array gives one
     variance per count, and a PointGroup adds a leading points axis.
     """
+    return _per_pilot(params, [p.lambda_B for p in params.points], pilot_count)
+
+
+def _per_pilot(params: SystemParams | PointGroup, snrs, pilot_count=None):
+    """1 / (snr * pilots), with one snr per point (see ``PointGroup.stack``)."""
     pilots = params.pilot_count if pilot_count is None else pilot_count
     if np.any(np.less(pilots, 1)):
         raise InvalidPilotCount("amplitude estimation needs at least one pilot per frame")
-    return 1.0 / (params.stack([p.lambda_B for p in params.points], pilots) * pilots)
+    return 1.0 / np.multiply(params.stack(snrs, pilots), pilots)
 
 
 def threshold_from_pfa(p_fa_ch: float, F: int, exact: bool = False) -> float:
@@ -113,27 +122,6 @@ def chi_square_point(tau: float, F: int) -> float:
     return max(math.sqrt(2.0 * F) * tau + F, 0.0)
 
 
-def test_statistic(h_hat: np.ndarray, h: np.ndarray, sigma_sq: float) -> float:
-    """Standardized squared-residual statistic over F frames.
-
-    L = (sum_k (h_hat_k - h_k)^2 / sigma_sq - F) / sqrt(2F).  Under the
-    legitimate hypothesis the sum is chi-square with F degrees of freedom,
-    so L is asymptotically standard normal.  The message is accepted when
-    L <= tau.
-    """
-    h_hat = np.asarray(h_hat, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if h_hat.shape != h.shape or h_hat.ndim != 1 or h_hat.size == 0:
-        raise DimensionMismatch(
-            f"need two equal-length 1-D vectors, got shapes {h_hat.shape} and {h.shape}"
-        )
-    if not sigma_sq > 0.0:
-        raise DomainError(f"sigma_sq must be > 0, got {sigma_sq!r}")
-    F = h_hat.size
-    residual = h_hat - h
-    return float((residual @ residual / sigma_sq - F) / math.sqrt(2.0 * F))
-
-
 def geometry(
     params: SystemParams | PointGroup, tau: float, pilot_count, h_min
 ) -> ChannelGeometry:
@@ -143,29 +131,32 @@ def geometry(
     ``pilot_count`` and ``h_min`` broadcast against each other like numpy
     arrays: a column of counts and a row of h_min values give one cell per
     pair, and two scalars give numpy scalars.  A PointGroup puts a leading
-    points axis before those cells on every field that depends on lambda_B.
+    points axis before those cells on every field that depends on S.
 
     log2_p_succ = min(0, F * log2(sqrt(pi) * radius / (2 (h_max - h_min)))
     - log2 Gamma(F/2 + 1)), never materializing the volumes themselves.  A
     zero-width amplitude interval means no challenge randomness at all; by
     convention the attack then succeeds freely (log2_p_succ = 0, b_ch = 0).
     """
-    h_min = np.asarray(h_min, dtype=float)
-    if h_min.ndim and np.ndim(pilot_count) < h_min.ndim:  # a group's points axis leads them all
-        pilot_count = np.expand_dims(pilot_count, tuple(range(h_min.ndim - np.ndim(pilot_count))))
-    F = params.F
-    span = params.h_max - h_min
+    F, h_max = params.F, params.h_max
     log2_gamma_term = log_gamma(F / 2.0 + 1.0) / _LN2
     # log2(0) = -inf is meant; an overflow ends in non-finite bits, which evaluate
-    # rejects, or in an infinite estimator variance, whose ball admits every guess
+    # rejects, or in an infinite estimator variance, whose ball admits every guess;
+    # g is 0/0 at h_max = 0, where S = 0 alone decides every result
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        var = sigma_h_sq(params, pilot_count)
-        radius = math.sqrt(chi_square_point(tau, F)) * np.sqrt(var)
-        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * np.log2(radius) - log2_gamma_term
-        log2_v_cube = F * (1.0 + np.log2(span))
+        g = np.asarray(h_min, dtype=float) / h_max
+        if g.ndim and np.ndim(pilot_count) < g.ndim:  # a group's points axis leads them all
+            pilot_count = np.expand_dims(pilot_count, tuple(range(g.ndim - np.ndim(pilot_count))))
+        span = 1.0 - g
+        chi_root = math.sqrt(chi_square_point(tau, F))
+        radius = chi_root * np.sqrt(_per_pilot(params, [p.S for p in params.points], pilot_count))
         per_frame = np.log2(math.sqrt(math.pi) * radius / (2.0 * span))
         exponent = np.where(span > 0.0, np.minimum(0.0, F * per_frame - log2_gamma_term), 0.0)
-        radius_over_fit = radius / np.where(h_min > 0.0, 0.5 * span, params.h_max)
+        radius_over_fit = radius / np.where(g > 0.0, 0.5 * span, 1.0)
+        var = sigma_h_sq(params, pilot_count)  # the absolute fields a report prints
+        radius = chi_root * np.sqrt(var)
+        log2_v_sphere = (F / 2.0) * math.log2(math.pi) + F * np.log2(radius) - log2_gamma_term
+        log2_v_cube = F * (1.0 + np.log2(h_max - np.asarray(h_min, dtype=float)))
     return ChannelGeometry(
         tau=tau,
         sigma_h_sq=var,

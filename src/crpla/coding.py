@@ -1,24 +1,25 @@
 """Coding-check security: achievable key bits under finite-length wiretap
 coding.
 
-Two channel regimes are covered.  With the configuration pinned at h_max
-(pure coding mechanism) the rate uses the fixed-SNR normal approximation
-with dispersion S(S+2)/(S+1)^2 * log2(e)^2 over all n*F symbols.  With a
+Every formula reads the peak SNR S = lambda_B * h_max^2 and the floor
+g = h_min / h_max (see ``crpla.params``), with I(v) = log2(1 + S v^2) at
+v = h / h_max.  With the amplitude pinned at h_max (pure coding
+mechanism) the rate uses the fixed-SNR normal approximation with
+dispersion S(S+2)/(S+1)^2 * log2(e)^2 over all n*F symbols.  With a
 per-frame random amplitude (hybrid mechanism) the average rate uses the
 block-fading normal approximation whose dispersion term is
-n' * Var[I] + 1 - E[1/(1+h^2*lambda_B)]^2 over the n'*F data symbols.
-The two dispersion formulas come from different normal-approximation
-results and do NOT coincide in the degenerate (h_min = h_max) limit: the
+n' * Var[I] + 1 - E[1/(1 + S v^2)]^2 over the n'*F data symbols.  The two
+dispersion formulas do NOT coincide in the degenerate (g = 1) limit: the
 block-fading one lacks the log2(e)^2 factor.  Both are implemented
 verbatim; reconciling them is out of scope.
 
-The block-fading moments E[I], Var[I] and E[1/(1+h^2*lambda_B)] over h
-uniform on [h_min, h_max] need no run-time quadrature: the two means
-have elementary antiderivatives and the variance is a fixed-order
-Gauss-Legendre sum (see ``_amplitude_moments``).  ``hybrid_rates``
-evaluates the hybrid budget elementwise over arrays of pilot counts and
-h_min values, and over a group of points that differ only in the SNRs,
-so the optimizer grids of a whole SNR sweep are one array computation.
+The block-fading moments E[I], Var[I] and E[1/(1 + S v^2)] over v uniform
+on [g, 1] need no run-time quadrature: the two means have elementary
+antiderivatives and the variance is a fixed-order Gauss-Legendre sum (see
+``_amplitude_moments``).  ``hybrid_rates`` evaluates the hybrid budget
+elementwise over arrays of pilot counts and h_min values, and over a
+group of points that differ only in S and lambda_T, so the optimizer grids
+of a whole SNR sweep are one array computation.
 
 The key budget is the smaller of what the legitimate rate leaves after
 the message and what the eavesdropper's rate concedes, clamped at zero.
@@ -74,10 +75,10 @@ class RateReport:
 
 
 def mutual_info_fixed(h: float, lambda_b: float) -> float:
-    """Gaussian-input mutual information log2(1 + h^2 * lambda_B), bits/symbol."""
-    if h < 0.0 or lambda_b <= 0.0:
-        raise NumericError(f"need h >= 0 and lambda_b > 0, got h={h!r}, lambda_b={lambda_b!r}")
-    return math.log1p(h * h * lambda_b) * _LOG2E
+    """Gaussian-input mutual information log2(1 + lambda_B * h^2), bits/symbol."""
+    if h < 0.0 or lambda_b < 0.0:
+        raise NumericError(f"need h >= 0 and lambda_b >= 0, got h={h!r}, lambda_b={lambda_b!r}")
+    return math.log1p(lambda_b * h * h) * _LOG2E
 
 
 def eavesdropper_info(lambda_t: float) -> float:
@@ -113,12 +114,12 @@ def b_key_cd(params: SystemParams, p_fa_cd: float) -> RateReport:
     """Key budget of the pure coding mechanism (no pilots, amplitude h_max).
 
     R = log2(1+S) - sqrt(V / (n F)) * Qinv(p) over all n*F symbols, with
-    S = h_max^2 * lambda_B and V = S(S+2)/(S+1)^2 * log2(e)^2.  R may be
-    negative for tiny blocklengths; the budgets clamp.
+    the peak SNR S = lambda_B * h_max^2 and V = S(S+2)/(S+1)^2 * log2(e)^2.
+    R may be negative for tiny blocklengths; the budgets clamp.
     """
-    s = params.h_max * params.h_max * params.lambda_B
+    s = params.S
     n_total = params.n * params.F
-    i_xy = mutual_info_fixed(params.h_max, params.lambda_B)
+    i_xy = mutual_info_fixed(1.0, s)
     # S/(S+1) * (S+2)/(S+1): no intermediate (S+1)^2 to overflow at huge S
     dispersion = s / (s + 1.0) * ((s + 2.0) / (s + 1.0)) * _LOG2E**2
     rate = i_xy - math.sqrt(dispersion / n_total) * q_inverse(p_fa_cd)
@@ -141,68 +142,66 @@ _GL_WEIGHTS = np.array([
 ])
 
 
-def _amplitude_moments(h_min, h_max: float, lambda_b: float):
-    """(E[I], Var[I], E[1/(1+h^2 lambda)]) for h uniform on [h_min, h_max],
-    elementwise over ``h_min``; I(h) = log2(1 + h^2 lambda).
+def _amplitude_moments(g, S: float):
+    """(E[I], Var[I], E[1/(1 + S v^2)]) for v uniform on [g, 1], elementwise
+    over ``g``; I(v) = log2(1 + S v^2).
 
-    The two means integrate the antiderivatives h ln(1 + lambda h^2) - 2h +
-    2 atan(a h) / a and atan(a h) / a, with a = sqrt(lambda).  Their
-    differences across [h_min, h_max] are taken in closed form, so a short
-    interval loses no digits:
+    The two means integrate the antiderivatives v ln(1 + S v^2) - 2v +
+    2 atan(a v) / a and atan(a v) / a, with a = sqrt(S).  Their differences
+    across [g, 1] are taken in closed form, so a short interval loses no
+    digits:
 
-        atan(a h_max) - atan(a h_min) = atan(a s / (1 + lambda h_max h_min))
-        ln(1 + lambda h_max^2) - ln(1 + lambda h_min^2)
-            = log1p(lambda s (h_max + h_min) / (1 + lambda h_min^2))
+        atan(a) - atan(a g) = atan(a s / (1 + S g))
+        ln(1 + S) - ln(1 + S g^2) = log1p(S s (1 + g) / (1 + S g^2))
 
-    with s = h_max - h_min.  Var[I] = E[(I - E[I])^2] is a 12-point
-    Gauss-Legendre sum on each piece of [h_min, h_max] cut at h = 2^k / a,
-    k = 0, 1, ...: I bends at h = 1/a, and its complex singularities at
-    h = +-i/a lie at least one piece length away from every piece.  The
-    centred integrand keeps E[I^2] - E[I]^2 from cancelling.  The piece
-    edges fill one array, and one array of nodes (..., pieces, 12) is taken
-    in place from h to the squared deviation before the weighted sum, so
-    each value is the plain expression's to the last bit.  A zero-width
-    interval gives the point values.  Where a * h_max overflows, the pieces
-    cannot be counted, which is a NumericError.
+    with s = 1 - g.  Var[I] = E[(I - E[I])^2] is a 12-point Gauss-Legendre
+    sum on each piece of [g, 1] cut at v = 2^k / a, k = 0, 1, ...: I bends
+    at v = 1/a, and its complex singularities at v = +-i/a lie at least one
+    piece length away from every piece.  The centred integrand keeps
+    E[I^2] - E[I]^2 from cancelling.  The piece edges fill one array, and
+    one array of nodes (..., pieces, 12) is taken in place from v to the
+    squared deviation before the weighted sum, so each value is the plain
+    expression's to the last bit.  A zero-width interval, or S = 0, gives
+    the point values; an infinite S gives an infinite E[I].
     """
-    h_min = np.asarray(h_min, dtype=float)
-    a = math.sqrt(lambda_b)
-    if math.isinf(a * h_max):
-        raise NumericError("amplitude moments are not finite: sqrt(lambda_B) * h_max overflows")
-    span = h_max - h_min
-    n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
-    edges = np.empty(h_min.shape + (n_cuts + 2,))
-    edges[..., 0], edges[..., -1] = h_min, h_max
+    g = np.asarray(g, dtype=float)
+    if math.isinf(S):  # too many pieces to count, and no finite key budget
+        return np.full(g.shape, math.inf), np.zeros(g.shape), np.zeros(g.shape)
+    span = 1.0 - g
+    a = math.sqrt(S)
+    n_cuts = 1 + max(0, math.ceil(math.log2(max(a, 1.0))))
+    edges = np.empty(g.shape + (n_cuts + 2,))
+    edges[..., 0], edges[..., -1] = g, 1.0
     cuts = edges[..., 1:-1]
-    with np.errstate(over="ignore"):  # a cut past 2^1023 / a lies beyond h_max and clips to it
-        np.maximum(2.0 ** np.arange(n_cuts) / a, h_min[..., None], out=cuts)
-    np.minimum(cuts, h_max, out=cuts)
+    with np.errstate(divide="ignore"):  # at S = 0 every cut lies beyond 1 and clips to it
+        np.maximum(2.0 ** np.arange(n_cuts) / a, g[..., None], out=cuts)
+    np.minimum(cuts, 1.0, out=cuts)
     half = np.subtract(edges[..., 1:], edges[..., :-1])
     half *= 0.5
-    # span = 0 takes the point values; an overflow reaches the caller as inf or nan
+    # span = 0 and S = 0 take the point values; an overflow reaches the caller as inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
-        log_ratio = np.log1p(lambda_b * span * (h_max + h_min) / (1.0 + lambda_b * h_min * h_min))
-        log_top = math.log1p(lambda_b * h_max * h_max)
-        mean_info = (log_top - 2.0 + (h_min * log_ratio + 2.0 * atan_diff / a) / span) * _LOG2E
+        atan_diff = np.arctan(a * span / (1.0 + S * g))
+        log_ratio = np.log1p(S * span * (1.0 + g) / (1.0 + S * g * g))
+        log_top = math.log1p(S)
+        mean_info = (log_top - 2.0 + (g * log_ratio + 2.0 * atan_diff / a) / span) * _LOG2E
         mean_inv = atan_diff / (a * span)
         mid = edges[..., :-1]
         mid += half  # the lower edges become the piece midpoints
-        # one array of nodes, taken in place to the squared deviation (I(h) - E[I])^2
-        h = np.multiply(half[..., None], _GL_NODES)
-        h += mid[..., None]
-        np.multiply(h, h, out=h)
-        h *= lambda_b
-        np.log1p(h, out=h)
-        h *= _LOG2E
-        h -= mean_info[..., None, None]
-        np.multiply(h, h, out=h)
-        variance = (half * (h @ _GL_WEIGHTS)).sum(axis=-1) / span
-    point = span == 0.0
+        # one array of nodes, taken in place to the squared deviation (I(v) - E[I])^2
+        v = np.multiply(half[..., None], _GL_NODES)
+        v += mid[..., None]
+        np.multiply(v, v, out=v)
+        v *= S
+        np.log1p(v, out=v)
+        v *= _LOG2E
+        v -= mean_info[..., None, None]
+        np.multiply(v, v, out=v)
+        variance = (half * (v @ _GL_WEIGHTS)).sum(axis=-1) / span
+    point = (span == 0.0) | (S == 0.0)
     return (
-        np.where(point, mutual_info_fixed(h_max, lambda_b), mean_info),
+        np.where(point, mutual_info_fixed(1.0, S), mean_info),
         np.where(point, 0.0, variance),
-        np.where(point, 1.0 / (1.0 + h_max * h_max * lambda_b), mean_inv),
+        np.where(point, 1.0 / (1.0 + S), mean_inv),
     )
 
 
@@ -214,21 +213,23 @@ def hybrid_rates(
 
     Rbar = E[I] - sqrt(V / (n' F)) * q over the n'*F data symbols, with
     the block-fading dispersion V = n' * Var[I] + 1 -
-    E[1/(1 + h^2 lambda_B)]^2 and the moments taken over h uniform on
-    [h_min, h_max].  An all-pilot frame carries no codeword: its rate is 0
-    by convention.  ``pilot_count`` and ``h_min`` broadcast against each
+    E[1/(1 + S v^2)]^2 and the moments taken over v = h / h_max uniform on
+    [g, 1], g = h_min / h_max.  An all-pilot frame carries no codeword: its
+    rate is 0 by convention.  ``pilot_count`` and ``h_min`` broadcast against each
     other like numpy arrays (a column of counts and a row of h_min values
     give one cell per pair).  A PointGroup puts a leading points axis in
     front of those cells; the moments and the eavesdropper's rate are
     taken point by point, and only their results are stacked.
     """
-    moments = zip(*(_amplitude_moments(h_min, p.h_max, p.lambda_B) for p in params.points))
-    mean_info, variance, mean_inv = (params.stack(m, pilot_count, h_min) for m in moments)
+    with np.errstate(invalid="ignore"):  # 0/0 at h_max = 0, where S = 0 gives the point values
+        g = np.asarray(h_min, dtype=float) / params.h_max
+    moments = zip(*(_amplitude_moments(g, p.S) for p in params.points))
+    mean_info, variance, mean_inv = (params.stack(m, pilot_count, g) for m in moments)
     n_data = params.n - np.asarray(pilot_count)
     dispersion = n_data * variance + 1.0 - mean_inv * mean_inv
     n_data_total = n_data * params.F
     with np.errstate(divide="ignore", invalid="ignore"):
         back_off = np.sqrt(dispersion / n_data_total) * q
     rate = np.where(n_data_total > 0, mean_info - back_off, 0.0)
-    i_xz = params.stack([eavesdropper_info(p.lambda_T) for p in params.points], pilot_count, h_min)
+    i_xz = params.stack([eavesdropper_info(p.lambda_T) for p in params.points], pilot_count, g)
     return _budget(params, mean_info, i_xz, dispersion, rate, n_data_total)

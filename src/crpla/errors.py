@@ -44,7 +44,3 @@ class DomainError(NumericError):
 
 class ConvergenceError(NumericError):
     """An iterative numerical procedure failed to reach its tolerance."""
-
-
-class DimensionMismatch(NumericError):
-    """Vector arguments that must share a length do not."""

@@ -52,7 +52,7 @@ class OptimizationGrid:
     """Search space for :func:`optimize`.
 
     ``pilot_counts`` defaults to every interior count 1..n-1 and
-    ``h_min_values`` to the 101 points min(i * h_max / 100, h_max).
+    ``h_min_values`` to the 101 points g * h_max, g = i / 100 (never above h_max).
     """
 
     pilot_counts: tuple[int, ...] | None = None
@@ -71,7 +71,7 @@ class OptimizationGrid:
             raise InvalidPilotCount(f"pilot counts must lie in 1..{params.n - 1}: {pilots}")
         h_values, h_max = self.h_min_values, params.h_max
         if h_values is None:
-            h_values = tuple(min(i * h_max / 100.0, h_max) for i in range(101))
+            h_values = tuple(i / 100.0 * h_max for i in range(101))
         if not h_values:
             raise InvalidRange("empty h_min grid")
         if any(not 0.0 <= h <= h_max for h in h_values):

@@ -5,6 +5,13 @@ pilots per frame), a message size, an overall false-alarm budget, the two
 link SNR scales and the admissible channel-amplitude interval.  All
 analysis modules consume the same immutable :class:`SystemParams` value.
 
+Both checks see the amplitudes only through the SNR lambda_B * h^2 and
+amplitude ratios, so the analysis reads the peak SNR S = lambda_B * h_max^2
+(:attr:`SystemParams.S`) and the floor g = h_min / h_max; h_max enters only
+the absolute quantities a report prints.  A power-of-two twin (c h_min,
+c h_max, lambda_B / c^2) reads the same S and g whenever S is a normal
+float, so it gives the same bits.
+
 JSON configs use dB for the legitimate SNR and a ratio for the attacker
 SNR; conversion to linear scale happens exactly once, at parse time.
 """
@@ -77,6 +84,11 @@ class SystemParams:
         return replace(self, **changes)
 
     @property
+    def S(self) -> float:
+        """The peak amplitude SNR lambda_B * h_max^2, as (lambda_B * h_max) * h_max."""
+        return self.lambda_B * self.h_max * self.h_max
+
+    @property
     def points(self) -> tuple["SystemParams", ...]:
         """This point alone, as a :class:`PointGroup` lists its points."""
         return (self,)
@@ -88,7 +100,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PointGroup:
-    """Operating points that differ at most in lambda_B and lambda_T.
+    """Operating points that differ at most in lambda_B and lambda_T, so in S.
 
     ``channel.geometry``, ``channel.equivalent_key_bits`` and
     ``coding.hybrid_rates`` take a group wherever they take one SystemParams

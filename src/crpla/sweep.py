@@ -97,8 +97,10 @@ def load_sweep_spec(path: str) -> SweepSpec:
     ):
         raise ConfigParseError("'sweep.values' must be a list of finite numbers")
     mechanisms = raw["mechanisms"]
-    if not isinstance(mechanisms, list):
-        raise ConfigParseError("'mechanisms' must be a list")
+    if not isinstance(mechanisms, list) or not all(isinstance(m, str) for m in mechanisms):
+        raise ConfigParseError("'mechanisms' must be a list of mechanism names")
+    if not isinstance(raw["params"], Mapping):
+        raise ConfigParseError("'params' must be an object")
     return SweepSpec(
         variable=sweep_block["variable"],
         values=tuple(float(v) for v in values),
@@ -185,18 +187,6 @@ def run_sweep(
     if failure is not None:
         raise failure
     return rows
-
-
-def evaluate_point(
-    params: SystemParams,
-    variable: str,
-    value: float,
-    mechanisms: Sequence[str],
-    exact_threshold: bool,
-) -> list[SecurityReport]:
-    """All requested mechanism reports at one swept value: a sweep of one."""
-    spec = SweepSpec(variable, (value,), tuple(mechanisms), params)
-    return [report for _value, _label, report in run_sweep(spec, exact_threshold)]
 
 
 def _fmt(x: float) -> str:

@@ -3,7 +3,8 @@
 Each case draws a config at edge values (F up to 5000, p_FA from 1e-300
 to 1 - 1e-16, lambda_B_dB from -300 to 3000, h_max from 1e-300 to 1e300,
 h_min at 0, -0.0, h_max / 2 or h_max, now and then a key missing or
-mistyped) and runs one of ``analyze``, ``optimize``, ``sweep`` and
+mistyped, and now and then a sweep spec whose ``params`` or mechanism
+entry has the wrong type) and runs one of ``analyze``, ``optimize``, ``sweep`` and
 ``simulate`` (64 trials) on it through ``crpla.cli.main`` in process,
 with and without ``--exact-threshold``.  A case holds when:
 
@@ -40,6 +41,12 @@ EXIT_CODES = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_VALIDATIO
 _PRINTED_BITS = re.compile(r"b_ch=\s*(\S+) b_key=\s*(\S+)")
 # The files a case reads and writes, named in its argv relative to its work directory.
 _FILE_NAMES = ("input.json", "out.csv", "out.json", "grid.csv")
+# Wrong-typed sweep spec entries, and the share of sweep cases that get one.
+_WRONG_TYPED = (
+    ("params", 5), ("params", "n"), ("params", None), ("params", [{"n": 1}]),
+    ("mechanisms", [{"a": 1}]), ("mechanisms", [["CH"]]),
+)  # fmt: skip
+_WRONG_TYPED_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,10 @@ def _sweep_values(rng: random.Random, variable: str, config: dict) -> list:
     return [rng.choice((0.0, 0.1, 0.5, 0.95, 1.0)) for _ in range(count)]
 
 
-def fuzz_case(rng: random.Random) -> Case:
-    """One seeded call of a random command on a fuzzed config."""
+def fuzz_case(rng: random.Random, mutator: random.Random | None = None) -> Case:
+    """One seeded call of a random command on a fuzzed config; ``mutator``,
+    when given, gives some sweep specs a wrong-typed entry without drawing
+    from ``rng``."""
     command = rng.choice(COMMANDS)
     config = fuzz_config(rng)
     argv = [command, "--config", "input.json"]
@@ -103,6 +112,9 @@ def fuzz_case(rng: random.Random) -> Case:
         mechanisms = rng.sample(("CH", "CD", "HYBRID", "HYBRID_OPT"), rng.randint(1, 4))
         sweep = {"variable": variable, "values": _sweep_values(rng, variable, config)}
         config = {"sweep": sweep, "mechanisms": mechanisms, "params": config}
+        if mutator is not None and mutator.random() < _WRONG_TYPED_SHARE:
+            key, value = mutator.choice(_WRONG_TYPED)
+            config[key] = value
         argv += ["--out", "out.csv"]
     elif command == "analyze":
         argv += ["--out", "out.json"]
@@ -116,8 +128,8 @@ def fuzz_case(rng: random.Random) -> Case:
 
 
 def fuzz_cases(seed: int, count: int) -> list[Case]:
-    rng = random.Random(seed)
-    return [fuzz_case(rng) for _ in range(count)]
+    rng, mutator = random.Random(seed), random.Random(f"{seed}/wrong-typed")
+    return [fuzz_case(rng, mutator) for _ in range(count)]
 
 
 def _written_bits(workdir: Path, code: int, stdout: str) -> tuple[list[str], list[float]]:

@@ -21,11 +21,16 @@ do not differ.  The corpora:
 The CSV carries 12 significant digits, so it hides a change in the last
 bits of a row.  ``--repr`` hashes instead the ``repr`` of every row's
 value and report, at full precision; use it to show that no bit moved.
+
+Besides the digests on stdout, one tally line goes to stderr: the sweeps
+run, the CSVs written, and the error exits grouped by exit code and the
+first three words of their message.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -191,6 +196,17 @@ def map_digests(
     return digests(seeds, "map", variable, full_precision)
 
 
+def tally(results: list[tuple[int, str, str]]) -> str:
+    """One line summing up :func:`digests` ``results``: the sweeps run, the
+    CSVs written and the error exits, grouped by their first words."""
+    exits = collections.Counter(
+        " ".join(digest.split()[:5]) for _s, _n, digest in results if digest.startswith("exit ")
+    )
+    groups = ", ".join(f'{count} "{words}"' for words, count in exits.most_common())
+    written = len(results) - sum(exits.values())
+    return f"{len(results)} sweeps, {written} CSVs, {sum(exits.values())} error exits: {groups}"
+
+
 def _seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -212,8 +228,10 @@ def main() -> None:
         help="hash the repr of every row instead of the CSV bytes",
     )
     args = parser.parse_args()
-    for seed, name, digest in digests(args.seeds, args.corpus, args.variable, args.full_precision):
+    results = digests(args.seeds, args.corpus, args.variable, args.full_precision)
+    for seed, name, digest in results:
         print(f"{seed} {name} {digest}")
+    print(tally(results), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ PACKAGE_ALL = [
     "q_inverse",
     "sigma_h_sq",
     "simulate_pilot_estimation",
-    "test_statistic",
     "threshold_from_pfa",
     "validate",
 ]

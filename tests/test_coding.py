@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from crpla import coding
 from crpla.coding import b_key_cd, eavesdropper_info, hybrid_rates, mutual_info_fixed
-from crpla.errors import NumericError
 from crpla.params import SystemParams
 from crpla.specfun import q_inverse
 from quadrature_oracle import uniform_expectation
@@ -184,7 +183,7 @@ class TestAmplitudeMoments:
     @given(lam=st.floats(1.0, 1e7), h_min=st.floats(0.0, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_against_quadrature_oracle(self, lam, h_min):
-        mean_info, variance, mean_inv = coding._amplitude_moments(h_min, 1.0, lam)
+        mean_info, variance, mean_inv = coding._amplitude_moments(h_min, lam)
         info = lambda h: math.log1p(h * h * lam) * LOG2E
         oracle_mean = uniform_expectation(info, h_min, 1.0)
         oracle_var = uniform_expectation(lambda h: (info(h) - oracle_mean) ** 2, h_min, 1.0)
@@ -196,16 +195,16 @@ class TestAmplitudeMoments:
     @given(lam=st.floats(1.0, 1e7), h_max=st.floats(0.1, 2.0))
     @settings(max_examples=20, deadline=None)
     def test_zero_width_interval_gives_point_values(self, lam, h_max):
-        mean_info, variance, mean_inv = coding._amplitude_moments(h_max, h_max, lam)
+        mean_info, variance, mean_inv = coding._amplitude_moments(1.0, lam * h_max * h_max)
         assert mean_info == mutual_info_fixed(h_max, lam)
         assert variance == 0.0
-        assert mean_inv == 1.0 / (1.0 + h_max * h_max * lam)
+        assert mean_inv == 1.0 / (1.0 + lam * h_max * h_max)
 
     def test_array_matches_scalar_calls(self):
         h_values = np.array([0.0, 0.003, 0.25, 0.9, 0.99, 1.0])
-        stacked = coding._amplitude_moments(h_values, 1.0, 3e5)
+        stacked = coding._amplitude_moments(h_values, 3e5)
         for k, h_min in enumerate(h_values):
-            single = coding._amplitude_moments(h_min, 1.0, 3e5)
+            single = coding._amplitude_moments(h_min, 3e5)
             assert [float(m[k]) for m in stacked] == [float(m) for m in single]
 
     @given(
@@ -218,49 +217,39 @@ class TestAmplitudeMoments:
     def test_bits_equal_the_formula_as_written(self, lam, h_max, fractions, zero_width):
         # the moments build their nodes and piece edges in place; every bit
         # must equal the plain expressions, whatever the row or its overflows
-        h_min = np.array([-0.0, 0.0] + [f * h_max for f in fractions] + [h_max] * zero_width)
-        try:
-            expected = _moments_as_written(h_min, h_max, lam)
-        except NumericError as exc:
-            with pytest.raises(NumericError) as raised:
-                coding._amplitude_moments(h_min, h_max, lam)
-            assert str(raised.value) == str(exc)
-            return
-        moments = coding._amplitude_moments(h_min, h_max, lam)
-        for got, want in zip(moments, expected):
+        g = np.array([-0.0, 0.0] + fractions + [1.0] * zero_width)
+        snr = lam * h_max * h_max
+        moments = coding._amplitude_moments(g, snr)
+        for got, want in zip(moments, _moments_as_written(g, snr)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
 
-def _moments_as_written(h_min, h_max, lambda_b):
+def _moments_as_written(g, snr):
     """``coding._amplitude_moments`` as plain expressions: the piece edges
     by clip, concatenate and diff, the nodes by one expression."""
-    h_min = np.asarray(h_min, dtype=float)
-    a = math.sqrt(lambda_b)
-    if math.isinf(a * h_max):
-        raise NumericError("amplitude moments are not finite: sqrt(lambda_B) * h_max overflows")
-    span = h_max - h_min
-    n_cuts = 1 + max(0, math.ceil(math.log2(max(a * h_max, 1.0))))
-    with np.errstate(over="ignore"):
-        cuts = np.clip(2.0 ** np.arange(n_cuts) / a, h_min[..., None], h_max)
-    edges = np.concatenate(
-        [h_min[..., None], cuts, np.broadcast_to(h_max, h_min.shape + (1,))], axis=-1
-    )
+    if math.isinf(snr):
+        return np.full(g.shape, math.inf), np.zeros(g.shape), np.zeros(g.shape)
+    a = math.sqrt(snr)
+    span = 1.0 - g
+    n_cuts = 1 + max(0, math.ceil(math.log2(max(a, 1.0))))
+    with np.errstate(divide="ignore"):
+        cuts = np.clip(2.0 ** np.arange(n_cuts) / a, g[..., None], 1.0)
+    edges = np.concatenate([g[..., None], cuts, np.ones(g.shape + (1,))], axis=-1)
     half = 0.5 * np.diff(edges, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        atan_diff = np.arctan(a * span / (1.0 + lambda_b * h_max * h_min))
-        log_ratio = np.log1p(lambda_b * span * (h_max + h_min) / (1.0 + lambda_b * h_min * h_min))
-        log_top = math.log1p(lambda_b * h_max * h_max)
-        mean_info = (log_top - 2.0 + (h_min * log_ratio + 2.0 * atan_diff / a) / span) * LOG2E
+        atan_diff = np.arctan(a * span / (1.0 + snr * g))
+        log_ratio = np.log1p(snr * span * (1.0 + g) / (1.0 + snr * g * g))
+        mean_info = (math.log1p(snr) - 2.0 + (g * log_ratio + 2.0 * atan_diff / a) / span) * LOG2E
         mean_inv = atan_diff / (a * span)
-        h = (edges[..., :-1] + half)[..., None] + half[..., None] * coding._GL_NODES
-        deviation = np.log1p(h * h * lambda_b) * LOG2E - mean_info[..., None, None]
+        v = (edges[..., :-1] + half)[..., None] + half[..., None] * coding._GL_NODES
+        deviation = np.log1p(v * v * snr) * LOG2E - mean_info[..., None, None]
         variance = (half * ((deviation * deviation) @ coding._GL_WEIGHTS)).sum(axis=-1) / span
-    point = span == 0.0
+    point = (span == 0.0) | (snr == 0.0)
     return (
-        np.where(point, mutual_info_fixed(h_max, lambda_b), mean_info),
+        np.where(point, math.log1p(snr) * LOG2E, mean_info),
         np.where(point, 0.0, variance),
-        np.where(point, 1.0 / (1.0 + h_max * h_max * lambda_b), mean_inv),
+        np.where(point, 1.0 / (1.0 + snr), mean_inv),
     )
 
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sweep_digest import map_digests
 
@@ -19,7 +19,6 @@ from crpla.params import params_from_config
 from crpla.sweep import (
     SweepSpec,
     apply_swept_value,
-    evaluate_point,
     load_sweep_spec,
     run_sweep,
     write_csv,
@@ -70,15 +69,19 @@ class TestSweepSpec:
             load_sweep_spec(write_json(tmp_path / "s.json", bad))
 
     def test_rejects_unknown_mechanism(self, tmp_path):
-        bad = spec_dict(mechanisms=["CH", "QKD"])
-        with pytest.raises(ConfigParseError):
-            load_sweep_spec(write_json(tmp_path / "s.json", bad))
+        for mechanisms in (["CH", "QKD"], [{"a": 1}], [["CH"]]):
+            bad = spec_dict(mechanisms=mechanisms)
+            with pytest.raises(ConfigParseError):
+                load_sweep_spec(write_json(tmp_path / "s.json", bad))
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("{not json")
         with pytest.raises(ConfigParseError):
             load_sweep_spec(str(path))
+        for params in (5, "n", None, [{"n": 1}]):  # valid JSON, but not a params object
+            with pytest.raises(ConfigParseError):
+                load_sweep_spec(write_json(path, spec_dict(params=params)))
 
 
 class TestApplySweptValue:
@@ -195,7 +198,7 @@ class TestRunSweep:
         counting(hybrid, "_hybrid_checks")
         counting(channel, "equivalent_key_bits")
         params = params_from_config(dict(BASE_PARAMS, h_min=h_min))
-        evaluate_point(params, variable, value, mechanisms, exact_threshold=False)
+        run_sweep(SweepSpec(variable, (value,), mechanisms, params))
         assert counts == {"_hybrid_checks": checks, "equivalent_key_bits": 1}
 
     @pytest.mark.parametrize(
@@ -297,6 +300,55 @@ class TestSweepProperties:
             if label == "HYBRID_OPT":
                 assert image.alpha_used == report.alpha_used
                 assert math.isclose(image.h_min_used / c, report.h_min_used, rel_tol=1e-15)
+
+    @given(
+        F=st.sampled_from([1, 2, 8, 100, 1000]),
+        db=st.floats(-300.0, 300.0),
+        ratio=st.floats(0.05, 0.95),
+        h_max=st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-100, 100)),
+        floor=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        place=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_is_bit_exact(self, F, db, ratio, h_max, floor, place):
+        # c = 2^k scales every amplitude and lambda_B / c^2 exactly, so each
+        # mechanism must give the same bits (h_min* scaled by c), or fail
+        # with the same error class.  k is placed anywhere in the range that
+        # keeps c h_max and lambda_B / c^2 normal: its ends put h_max far
+        # into the region where h * h overflows, or lambda_B near DBL_MAX.
+        lambda_b = 10.0 ** (db / 10.0)
+        (_m, e_h), (_n, e_lambda) = math.frexp(h_max), math.frexp(lambda_b)
+        low = max(-1020 - e_h, -((1024 - e_lambda) // 2))
+        high = min(1024 - e_h, (e_lambda + 1021) // 2)
+        k = low + round(place * (high - low))
+        c = math.ldexp(1.0, k)
+        scaled_inputs = (c * h_max, math.ldexp(lambda_b, -2 * k), c * floor * h_max)
+        assume(all(2.0**-1022 <= x < math.inf for x in scaled_inputs[:2]))
+        assume(floor == 0.0 or 2.0**-1022 <= scaled_inputs[2] < math.inf)
+        config = dict(BASE_PARAMS, F=F, lambda_B=lambda_b, h_max=h_max, h_min=floor * h_max)
+        config["lambda_T"] = ratio * lambda_b
+        del config["lambda_B_dB"], config["lambda_T_over_lambda_B"]
+        params = params_from_config(config)
+        scaled = params.replace(
+            lambda_B=scaled_inputs[1], h_min=scaled_inputs[2], h_max=scaled_inputs[0]
+        )
+
+        def outcomes(point, unit):
+            results = []
+            for run in (
+                *(lambda m=m: hybrid.evaluate(point, m).report for m in ("CH", "CD", "HYBRID")),
+                lambda: hybrid.optimize(point),
+            ):
+                try:
+                    r = run()
+                except CrplaError as exc:
+                    results.append(type(exc))
+                    continue
+                bits = (r.b_ch, r.b_key, r.alpha_used, r.h_min_used / unit)
+                results.append((r.mechanism, *map(float.hex, bits)))
+            return results
+
+        assert outcomes(scaled, c) == outcomes(params, 1.0)
 
     @given(
         dbs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4),
@@ -610,17 +662,17 @@ class TestInputErrors:
     _DB_OVERFLOW = "error: lambda_B_dB = 4000.0 overflows the linear scale\n"
     _LAMBDA_T_OVERFLOW = "error: lambda_T must be finite and > 0, got inf\n"
     _CD_OVERFLOW = "numeric failure: CD key bits are not finite at this operating point\n"
-    _HUGE_H_MAX = dict(h_max=1e140, h_min=0.0)  # at 300 dB CD and the grid overflow, CH does not
+    _HUGE_H_MAX = dict(h_max=1e140, h_min=0.0)  # at 300 dB S = lambda_B h_max^2 overflows
 
     @pytest.mark.parametrize(
         "variable, values, params, mechanisms, code, message",
         [
             ("lambda_B_dB", [40, 4000, 50], {}, ["CD", "HYBRID_OPT"], 1, _DB_OVERFLOW),
             ("lambda_ratio", [0.3, 1e308, 0.5], {}, ["CD", "HYBRID_OPT"], 1, _LAMBDA_T_OVERFLOW),
-            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CH", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
-            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CH", "CD", "HYBRID_OPT"], 2, _CD_OVERFLOW),
+            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["HYBRID_OPT", "CH"], 2, _CH_RADIUS_0),
+            ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CD", "CH", "HYBRID_OPT"], 2, _CD_OVERFLOW),
             # the middle point's grid fails before the last point's dB value overflows
-            ("lambda_B_dB", [40, 300, 4000], _HUGE_H_MAX, ["CH", "HYBRID_OPT"], 2, _HYBRID_OVERFLOW),
+            ("lambda_B_dB", [40, 300, 4000], _HUGE_H_MAX, ["HYBRID_OPT", "CH"], 2, _CH_RADIUS_0),
         ],
         ids=[
             "db_overflow", "ratio_overflow", "grid_not_finite", "cd_before_grid",
@@ -645,23 +697,23 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_amplitude_moment_overflow_is_a_numeric_failure(self, tmp_path, capsys, command):
-        # sqrt(lambda_B) * h_max = 1e315 overflows where the amplitude
-        # moments count their quadrature pieces
-        params = dict(BASE_PARAMS, lambda_B_dB=300, h_min=0.0, h_max=1e300)
+        # S = lambda_B h_max^2 overflows: the amplitude moments cannot count
+        # their quadrature pieces and give an infinite E[I], which fails the
+        # HYBRID row (its channel check is finite at h_min = h_max); the
+        # optimizer's channel-only ball has radius sqrt(chi / (S n)) = 0
+        params = dict(BASE_PARAMS, lambda_B_dB=300, h_min=1e300, h_max=1e300)
         if command == "sweep":
             spec = spec_dict(
                 sweep={"variable": "lambda_B_dB", "values": [300]},
-                mechanisms=["CH", "HYBRID_OPT"],
+                mechanisms=["HYBRID", "HYBRID_OPT"],
                 params=params,
             )
             cfg = write_json(tmp_path / "s.json", spec)
-            extra = ["--out", str(tmp_path / "o.csv")]
+            extra, message = ["--out", str(tmp_path / "o.csv")], self._HYBRID_OVERFLOW
         else:
-            cfg, extra = write_json(tmp_path / "p.json", params), []
+            cfg, extra, message = write_json(tmp_path / "p.json", params), [], self._CH_RADIUS_0
         assert cli.main([command, "--config", cfg, *extra]) == 2
-        assert capsys.readouterr().err == (
-            "numeric failure: amplitude moments are not finite: sqrt(lambda_B) * h_max overflows\n"
-        )
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -670,10 +722,10 @@ class TestInputErrors:
         [
             # lambda_B * pilots < 5.6e-309: the estimator variance is inf and b_ch 0
             ([-3090], {}, 0, ""),
-            # sqrt(lambda_B) * h_max = 1e308: the last quadrature cut 2^1024 / a is inf
-            ([160], dict(h_max=1e300, h_min=0.0), 2, _HYBRID_OVERFLOW),
+            # S = lambda_B h_max^2 overflows: the estimator variance is 0 and b_ch inf
+            ([160], dict(h_max=1e300, h_min=0.0), 2, _CH_RADIUS_0),
         ],
-        ids=["subnormal_snr", "last_cut_overflows"],
+        ids=["subnormal_snr", "snr_overflows"],
     )
     def test_overflow_prints_no_python_warning(
         self, tmp_path, capsys, values, params, code, message
