@@ -30,7 +30,8 @@ Draw order inside a block (one row per trial, rows in trial order):
   2 * standard_gamma(F/2), so the kernel draws ``standard_gamma(F / 2)``
   into its own array and doubles it: the same bits, with no new array;
 * attack: a head of k = min(F, ``HEAD_COLUMNS``) coordinates of the
-  challenge h, k uniforms from the block's stream.  Only a row whose head
+  challenge h, k uniforms from the block's stream (where the sign rule
+  below is on, only for the rows it keeps).  Only a row whose head
   distance is within the radius draws its tail, the other F - k
   coordinates, from child stream 1, in the order of those rows; the
   stream is made when a block first needs it.  Each signed amplitude
@@ -50,8 +51,7 @@ Draw order inside a block (one row per trial, rows in trial order):
   Re(y/x) for the unit-modulus pilot x = exp(i theta), and a row averages
   its pilots; no symbol is formed or divided.
 
-Two rules skip arithmetic whose outcome is already known; neither skips
-a draw, so neither touches the streams.
+Two rules skip work whose outcome is already known.
 
 * Sign rule (attack).  Let gap = fl(h_min + c).  A coordinate whose
   uniform is below 1/2 is negative, h_k = -a with a = fl(h_min + |v| *
@@ -59,9 +59,14 @@ a draw, so neither touches the streams.
   square is at least fl(gap * gap).  When h_min > 0 and fl(gap * gap) >
   radius^2, a row with any such coordinate is beyond the radius exactly:
   rounding is monotone, and a rounded sum of non-negative terms is at
-  least each of its terms.  The kernel then transforms only the head
-  rows whose k uniforms are all at least 1/2, and only the drawn tails
-  whose first ``HEAD_COLUMNS`` uniforms are, keeping row order.  At
+  least each of its terms.  Only the rows whose k head signs are all
+  positive can then succeed, and their number is Binomial(rows, 2^-k).
+  The block draws that count first, ``Generator.binomial(rows, 0.5**k)``,
+  and then, in the same stream, the k uniforms w of each such row's head,
+  whose magnitudes are a = h_min + w * (h_max - h_min): the law of the
+  heads of the rows it stands for, given their signs (conditional Monte
+  Carlo).  Of the tails a block draws it transforms only those whose first
+  ``HEAD_COLUMNS`` uniforms are at least 1/2, keeping row order.  At
   h_min = 0 the guess is the origin, no sign is wrong, and the rule is off.
 * Octant fold (pilot).  With s = 1/2 - u, theta = 2 pi u = pi - 2 pi s;
   s, b = |s| - 1/4, c = |b| and r = min(c, 1/4 - c) in [0, 1/8] are all
@@ -89,10 +94,14 @@ the tiles concatenate to the whole-block draw and every count, and every
 per-row pilot estimate, is independent of the tile size; memory per
 worker stays bounded as F and pilot_count grow.
 
-This is version 6 of the reproducibility contract; its results are
-pinned by ``tests/test_montecarlo.py::TestStreamContract``.  The gamma
-sampler calls the platform's ``log`` (and ``pow`` at F = 1), so a
-false-alarm count, like a pilot moment through ``sin``, can differ where
+This is version 7 of the reproducibility contract: version 6 drew every
+attack row's head, and version 7 draws the conditioned heads of the sign
+rule; the false-alarm and pilot streams, and the attack stream where the
+rule is off, are those of version 6.  Its results are pinned by
+``tests/test_montecarlo.py::TestStreamContract``.  The gamma sampler
+calls the platform's ``log`` (and ``pow`` at F = 1), and the binomial
+sampler ``log`` and ``exp``, so a false-alarm count, an attack count where
+the sign rule is on, and a pilot moment through ``sin`` can differ where
 libm rounds differently.
 """
 
@@ -126,8 +135,8 @@ BLOCK_TRIALS = 1 << 14
 # kernel draws one value per row and walks no tiles.
 TILE_BYTES = 1 << 20
 # Attack head tiles take TILE_BYTES / HEAD_TILE_SHARE: where heads decide
-# almost every row, as at the paper's operating points, they are most of
-# the memory a block touches.
+# almost every row and the sign rule is off, they are most of the memory a
+# block touches.
 HEAD_TILE_SHARE = 4
 # Coordinates of h in an attack row's head; a row whose head is already
 # outside the radius draws no tail.
@@ -412,6 +421,15 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
+def _magnitudes(
+    w: np.ndarray, h_min: float, h_max: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """h_min + w * (h_max - h_min), the positive amplitudes, from uniforms w."""
+    amplitude = np.multiply(w, h_max - h_min, out=out)
+    amplitude += h_min
+    return amplitude
+
+
 def _right_signs(u: np.ndarray, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Whether each row of uniforms ``u`` has its first ``HEAD_COLUMNS``
     entries, or all of a shorter row, at least 1/2: the rows the sign rule
@@ -454,27 +472,30 @@ def _attack_block(
     centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
     # A negative coordinate is at least h_min + centre from the guess; where
     # that alone leaves the ball, only rows of positive coordinates can
-    # succeed (the sign rule of the module docstring).  Their uniforms move
-    # to ``kept`` and their amplitudes go over the draws.
+    # succeed (the sign rule of the module docstring).  The block then draws
+    # how many rows have k positive head signs and only their heads, as
+    # magnitudes; a tail's kept uniforms move to ``kept`` and their
+    # amplitudes go over the draws.
     gap = h_min + centre
     sign_rule = h_min > 0.0 and gap * gap > radius_sq
     amplitudes = draws if sign_rule else kept
 
-    def distances(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def distances(u: np.ndarray, out: np.ndarray, transform=_signed_amplitudes) -> np.ndarray:
         """Squared distances to the guess of the rows of uniforms ``u``, which it overwrites."""
-        d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
+        d = transform(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
         d -= centre
         return np.einsum("ij,ij->i", d, d, out=out[: len(d)])
 
     rng = _block_rng(seed, block)
+    heads, head_transform = rows, _signed_amplitudes
+    if sign_rule:
+        heads, head_transform = int(rng.binomial(rows, 0.5**k)), _magnitudes
     tail_rng = None
     successes = 0
-    for start in range(0, rows, head_rows):
-        n = min(head_rows, rows - start)
+    for start in range(0, heads, head_rows):
+        n = min(head_rows, heads - start)
         u = rng.random(out=draws[: n * k].reshape(n, k))
-        if sign_rule:
-            u = _compress(_right_signs(u, flags, mask), u, kept)
-        head = distances(u, head_space)
+        head = distances(u, head_space, head_transform)
         # The tail adds squares and rounding is monotone, so a head beyond
         # the radius puts the whole row beyond it.
         within = np.less_equal(head, radius_sq, out=mask[: len(head)])

@@ -42,6 +42,7 @@ __all__ = [
     "params_from_config",
     "params_to_config",
     "db_to_linear",
+    "lambda_t_from_ratio",
     "read_json_object",
     "load_params",
 ]
@@ -207,11 +208,27 @@ def _pilots_from_alpha(alpha: float, n: int) -> int:
 
 
 def db_to_linear(db: float) -> float:
-    """Linear SNR scale 10**(dB / 10); a dB value too large for a float is a config error."""
+    """Linear SNR scale 10**(dB / 10); a dB value whose scale overflows a
+    float, or underflows to 0, is a config error."""
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError as exc:
         raise ConfigParseError(f"lambda_B_dB = {db!r} overflows the linear scale") from exc
+    if linear == 0.0:
+        raise ConfigParseError(f"lambda_B_dB = {db!r} underflows the linear scale")
+    return linear
+
+
+def lambda_t_from_ratio(ratio: float, lambda_b: float, key: str, value: float) -> float:
+    """lambda_T = ratio * lambda_B, set by the input ``key`` = ``value``.  A
+    product of positive factors that underflows to 0 is a config error that
+    names that input, not lambda_T, which the user did not set."""
+    lambda_t = ratio * lambda_b
+    if lambda_t == 0.0 and ratio > 0.0 and lambda_b > 0.0:
+        raise ConfigParseError(
+            f"{key} = {value!r} underflows lambda_T = {ratio!r} * {lambda_b!r} to 0"
+        )
+    return lambda_t
 
 
 def _require(config: Mapping[str, Any], key: str) -> Any:
@@ -285,7 +302,8 @@ def params_from_config(config: Mapping[str, Any]) -> SystemParams:
 
     atk_key = _exactly_one(config, "lambda_T_over_lambda_B", "lambda_T")
     if atk_key == "lambda_T_over_lambda_B":
-        lambda_t = _as_number(config["lambda_T_over_lambda_B"], atk_key) * lambda_b
+        ratio = _as_number(config[atk_key], atk_key)
+        lambda_t = lambda_t_from_ratio(ratio, lambda_b, atk_key, ratio)
     else:
         lambda_t = _as_number(config["lambda_T"], "lambda_T")
 

@@ -47,6 +47,7 @@ from .params import (
     SecurityReport,
     SystemParams,
     db_to_linear,
+    lambda_t_from_ratio,
     params_from_config,
     read_json_object,
 )
@@ -114,11 +115,13 @@ def apply_swept_value(params: SystemParams, variable: str, value: float) -> Syst
     if variable == "h_min":
         return params.replace(h_min=value)
     if variable == "lambda_ratio":
-        return params.replace(lambda_T=value * params.lambda_B)
+        lambda_t = lambda_t_from_ratio(value, params.lambda_B, variable, value)
+        return params.replace(lambda_T=lambda_t)
     if variable == "lambda_B_dB":
         lambda_b = db_to_linear(value)
         ratio = params.lambda_T / params.lambda_B
-        return params.replace(lambda_B=lambda_b, lambda_T=ratio * lambda_b)
+        lambda_t = lambda_t_from_ratio(ratio, lambda_b, variable, value)
+        return params.replace(lambda_B=lambda_b, lambda_T=lambda_t)
     if variable == "F":
         if value != int(value):
             raise ConfigParseError(f"F sweep values must be integers, got {value!r}")

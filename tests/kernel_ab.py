@@ -21,7 +21,15 @@ every pair of calls printed the same bytes.
 tree and F that makes N calls and keeps every call's output, as
 bench/worker.py does, and prints its peak resident set (``ru_maxrss``)
 and its resident set after the last call, the steady state that a
-scratch buffer held between calls adds to.
+scratch buffer held between calls adds to.  It also prints the KiB each
+kept call adds, the slope of the peak between N/2 and N calls, and
+projects the benchmark's ``peak_rss_mb`` ratio: a 30 s run makes calls
+in inverse proportion to the mean call time, so where the BASE run makes
+``--parent-calls`` calls (default 12000, about what ``mc_f100`` makes)
+the NEW run makes that many divided by the NEW/BASE mean-time ratio, and
+each tree's peak is extrapolated along its own slope.  The benchmark
+gates ``peak_rss_mb`` at +10%, and a faster kernel raises it through the
+call count alone.
 """
 
 from __future__ import annotations
@@ -80,7 +88,9 @@ def simulate_argv(config: str, seed: int) -> list[str]:
     return argv + ["--jobs", "1"]
 
 
-def interleaved(clis: dict, configs: dict, rounds: int, warmup: int, seed: int) -> None:
+def interleaved(clis: dict, configs: dict, rounds: int, warmup: int, seed: int) -> dict:
+    """Print the A/B of each F; return the NEW/BASE ratio of the mean call time per F."""
+    mean_ratio = {}
     for F, config in configs.items():
         argv = simulate_argv(config, seed)
         times = {side: [] for side in clis}
@@ -107,21 +117,47 @@ def interleaved(clis: dict, configs: dict, rounds: int, warmup: int, seed: int) 
                 f"minflt/call {statistics.mean(faults[side]):7.1f}"
             )
         base, new = stats["base"], stats["new"]
-        print(f"  new/base median {new[0] / base[0]:.3f}  p90 {new[1] / base[1]:.3f}")
+        mean_ratio[F] = statistics.mean(times["new"]) / statistics.mean(times["base"])
+        print(
+            f"  new/base median {new[0] / base[0]:.3f}  p90 {new[1] / base[1]:.3f}  "
+            f"mean {mean_ratio[F]:.3f}"
+        )
+    return mean_ratio
+
+
+def peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def rss_only(root: Path, F: int, calls: int, seed: int) -> None:
-    """Peak and final RSS (MiB) of ``calls`` calls of ``root``'s CLI that keep their output."""
+    """The peak RSS (MiB) after half of ``calls`` calls of ``root``'s CLI
+    that keep their output and after all of them, and the final RSS."""
     sys.path.insert(0, str(root / "src"))
     import crpla.cli
 
+    def record(index: int) -> dict:
+        """One call, kept as bench/worker.py keeps it: a dict of its time and output."""
+        seconds, _faults, output = call(crpla.cli, argv)
+        code, stdout, stderr = output.split("\0")
+        return {
+            "index": index,
+            "s": seconds,
+            "rc": int(code),
+            "exc": None,
+            "stdout": stdout,
+            "stderr": stderr,
+            "csv": None,
+        }
+
     with tempfile.TemporaryDirectory() as tmp:
         argv = simulate_argv(write_config(root, F, tmp), seed)
-        records = [call(crpla.cli, argv) for _ in range(calls)]
+        records = [record(i) for i in range(calls // 2)]
+        half = peak_rss_mib()
+        records += [record(i) for i in range(calls // 2, calls)]
     assert len(records) == calls
     with open("/proc/self/statm", encoding="ascii") as fh:
         resident = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, resident)
+    print(half, peak_rss_mib(), resident)
 
 
 def main() -> None:
@@ -133,6 +169,12 @@ def main() -> None:
     parser.add_argument("--warmup", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rss-calls", type=int, default=600, help="0 skips the RSS runs")
+    parser.add_argument(
+        "--parent-calls",
+        type=int,
+        default=12000,
+        help="calls of the BASE benchmark run the peak_rss_mb projection starts from",
+    )
     parser.add_argument("--rss-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     base = args.base.resolve()
@@ -158,24 +200,39 @@ def main() -> None:
                 sys.exit(f"error: {side} imported from {source}")
         with tempfile.TemporaryDirectory() as tmp:
             configs = {F: write_config(base, F, tmp) for F in args.F}
-            interleaved(clis, configs, args.rounds, args.warmup, args.seed)
+            mean_ratio = interleaved(clis, configs, args.rounds, args.warmup, args.seed)
     finally:
         shutil.rmtree(alias_dir)
 
     if args.rss_calls:
+        calls = args.rss_calls
         for F in args.F:
-            peaks, resident = {}, {}
+            halves, peaks, resident, projected = {}, {}, {}, {}
             for side, root in (("base", base), ("new", new)):
                 cmd = [sys.executable, __file__, str(root), "--rss-only", "--F", str(F)]
-                cmd += ["--rss-calls", str(args.rss_calls), "--seed", str(args.seed)]
+                cmd += ["--rss-calls", str(calls), "--seed", str(args.seed)]
                 env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
                 proc = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
-                peaks[side], resident[side] = map(float, proc.stdout.split())
+                halves[side], peaks[side], resident[side] = map(float, proc.stdout.split())
             for name, rss in (("peak", peaks), ("final", resident)):
                 print(
-                    f"F={F}: {name} RSS after {args.rss_calls} calls: base {rss['base']:.2f} MiB, "
+                    f"F={F}: {name} RSS after {calls} calls: base {rss['base']:.2f} MiB, "
                     f"new {rss['new']:.2f} MiB ({rss['new'] - rss['base']:+.2f})"
                 )
+            run_calls = {"base": args.parent_calls, "new": args.parent_calls / mean_ratio[F]}
+            slopes = {}
+            for side in ("base", "new"):
+                slopes[side] = (peaks[side] - halves[side]) / (calls - calls // 2)  # MiB per call
+                projected[side] = peaks[side] + slopes[side] * (run_calls[side] - calls)
+            print(
+                f"F={F}: each kept call adds base {slopes['base'] * 1024:.3f} KiB, "
+                f"new {slopes['new'] * 1024:.3f} KiB (peak between {calls // 2} and {calls} calls)"
+            )
+            print(
+                f"F={F}: projected peak_rss_mb at {run_calls['base']} base and "
+                f"{run_calls['new']:.0f} new calls: base {projected['base']:.2f} MiB, "
+                f"new {projected['new']:.2f} MiB (ratio {projected['new'] / projected['base']:.3f})"
+            )
 
 
 if __name__ == "__main__":

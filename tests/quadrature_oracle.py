@@ -9,7 +9,7 @@ integrator stays out of the library's import path.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 from scipy import integrate
 
@@ -24,9 +24,15 @@ class DegenerateInterval(NumericError):
     """Integration interval has zero width; caller should evaluate pointwise."""
 
 
-def uniform_expectation(f: Callable[[float], float], a: float, b: float) -> float:
+def uniform_expectation(
+    f: Callable[[float], float], a: float, b: float, breakpoints: Iterable[float] = ()
+) -> float:
     """Mean of f(H) for H uniform on [a, b], via adaptive quadrature to
     relative tolerance REL_TOL within MAX_SUBDIVISIONS subintervals.
+
+    ``breakpoints`` are points where f bends sharply; those inside (a, b)
+    start the subdivision, where the error estimate alone can miss the bend
+    and stop early by more than REL_TOL.
 
     Raises :class:`DegenerateInterval` when a == b; the caller decides
     whether a point evaluation f(a) is the right reading there.
@@ -38,12 +44,13 @@ def uniform_expectation(f: Callable[[float], float], a: float, b: float) -> floa
     if a > b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
 
+    points = sorted(p for p in breakpoints if a < p < b) or None
     # QUADPACK preallocates workspace proportional to `limit`, so escalate
     # instead of always paying for the full subdivision budget.
     limit = 200
     while True:
         result = integrate.quad(
-            f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=limit, full_output=1
+            f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=limit, points=points, full_output=1
         )
         if len(result) == 3:  # (value, abserr, info): converged
             return result[0] / (b - a)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crpla import channel, cli, montecarlo
@@ -320,11 +320,21 @@ def _attack_distances(seed, rows, F, h_min, h_max, radius_sq):
     return dist
 
 
+def _sign_rule_on(h_min, h_max, radius_sq):
+    """Whether the attack kernel's sign rule is on: h_min > 0 and a negative
+    coordinate alone, at least gap = h_min + centre from the guess, is
+    beyond the radius."""
+    gap = h_min + (h_min + (h_max - h_min) / 2.0)
+    return h_min > 0.0 and gap * gap > radius_sq
+
+
 class TestHeadRejection:
     """The attack kernel draws a row's tail only when the row's head is
     within the radius; its counts must equal those of the rows the in-test
-    reference assembles from head and tail, at every radius and tile size.
-    At F <= HEAD_COLUMNS a row is all head."""
+    reference assembles from head and tail, at every radius and tile size
+    where the sign rule is off.  At F <= HEAD_COLUMNS a row is all head.
+    Where the rule is on, the kernel draws other rows of the same law
+    (TestConditionedHead)."""
 
     ROWS = {1000: 500}  # rows per block; 2000 at every other F
 
@@ -354,6 +364,8 @@ class TestHeadRejection:
             assert 0 < np.count_nonzero(head > radii["some_pruned"]) < rows
             assert not np.any(head > radii["none_pruned"])
         for name, radius_sq in radii.items():
+            if _sign_rule_on(h_min, 1.0, radius_sq):
+                continue
             expected = _attack_distances(41, rows, F, h_min, 1.0, radius_sq) <= radius_sq
             got = montecarlo._attack_block(41, 0, rows, F, h_min, 1.0, radius_sq)
             assert got == np.count_nonzero(expected), (name, radius_sq)
@@ -377,15 +389,17 @@ class TestHeadRejection:
 
 class TestSignRule:
     """Where h_min > 0 and one negative coordinate already puts a row
-    beyond the radius, the attack kernel transforms only the rows whose
-    head, and then tail, signs are positive.  Its counts must equal those
-    of the unfiltered v6 kernel, which ``_attack_distances`` assembles from
-    every head, on both sides of the radius^2 where the rule turns on."""
+    beyond the radius, the attack kernel draws only the heads whose signs
+    are positive and transforms only the drawn tails whose signs are.
+    Where the rule is off, at and above the radius^2 where it turns on, its
+    counts must equal those of the v6 kernel, which ``_attack_distances``
+    assembles from every head; TestConditionedHead checks the law where it
+    is on."""
 
     @given(
         F=st.sampled_from([8, 9, 16, 100]),
         h_min=st.floats(0.01, 0.99),
-        side=st.sampled_from(["spread", "below_gap", "gap", "above_gap"]),
+        side=st.sampled_from(["spread", "gap", "above_gap"]),
         spread=st.floats(0.05, 3.0),
         rows=st.integers(1, 3000),
         seed=st.integers(0, 2**32),
@@ -395,14 +409,14 @@ class TestSignRule:
         centre = h_min + (1.0 - h_min) / 2.0
         gap_sq = (h_min + centre) * (h_min + centre)
         # "spread": a multiple of the mean distance of a row of positive
-        # coordinates, F (1 - h_min)^2 / 12, so that rows succeed while the
-        # rule is on; the others straddle the rule's threshold gap^2.
+        # coordinates, F (1 - h_min)^2 / 12, where that reaches gap^2; the
+        # others lie at and above the rule's threshold gap^2.
         radius_sq = {
             "spread": spread * F * (1.0 - h_min) ** 2 / 12.0,
-            "below_gap": math.nextafter(gap_sq, 0.0),
             "gap": gap_sq,
             "above_gap": spread * gap_sq + gap_sq,
         }[side]
+        assume(not _sign_rule_on(h_min, 1.0, radius_sq))
         expected = _attack_distances(seed, rows, F, h_min, 1.0, radius_sq) <= radius_sq
         got = montecarlo._attack_block(seed, 0, rows, F, h_min, 1.0, radius_sq)
         assert got == np.count_nonzero(expected)
@@ -414,7 +428,46 @@ class TestSignRule:
         r = radius(params, channel.threshold_from_pfa(params.p_FA, params.F))
         assert (0.5 + 0.75) ** 2 > r * r
         counts = [measure_attack_success(params, r, BLOCK_TRIALS, s).successes for s in range(8)]
-        assert counts == [34, 29, 32, 29, 31, 29, 37, 29]
+        assert counts == [26, 26, 31, 27, 30, 30, 30, 24]
+
+
+class TestConditionedHead:
+    """Where the sign rule is on, the attack kernel draws how many rows of a
+    block have k = min(F, HEAD_COLUMNS) positive head signs, a binomial
+    count, and only those rows' heads, as magnitudes.  Its counts must
+    follow the law of the v6 rows that ``_attack_distances`` assembles from
+    every head, drawn from other seeds, and must not depend on the tile
+    size."""
+
+    BLOCKS = 400
+    ROWS = 4096
+
+    # At h_min 0.5 the rule's gap^2 is 1.5625, above every radius^2 here.
+    # F = 2 is all head; at F = 9 a head within the radius draws a tail,
+    # which the rule filters too.
+    @pytest.mark.parametrize("F, radii_sq", [(2, (0.01, 0.04, 0.09)), (9, (0.2, 0.32))])
+    def test_counts_follow_the_unconditioned_law(self, monkeypatch, F, radii_sq):
+        def kernel_counts(radius_sq, seeds):
+            return [montecarlo._attack_block(s, 0, self.ROWS, F, 0.5, 1.0, radius_sq) for s in seeds]
+
+        # Every reference row whole: its distance decides it at every radius.
+        reference = np.concatenate(
+            [
+                _attack_distances(s, self.ROWS, F, 0.5, 1.0, math.inf)
+                for s in range(self.BLOCKS, 2 * self.BLOCKS)
+            ]
+        )
+        trials = self.BLOCKS * self.ROWS
+        for radius_sq in radii_sq:
+            assert _sign_rule_on(0.5, 1.0, radius_sq)
+            kernel = kernel_counts(radius_sq, range(self.BLOCKS))
+            expected = int(np.count_nonzero(reference <= radius_sq))
+            pooled = (sum(kernel) + expected) / (2 * trials)
+            assert pooled * trials > 1000
+            sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / trials)
+            assert abs(sum(kernel) - expected) / trials < 4.0 * sigma, radius_sq
+        monkeypatch.setattr(montecarlo, "TILE_BYTES", 7 * 8 * 10)
+        assert kernel_counts(radius_sq, range(20)) == kernel[:20]
 
 
 class TestAttackLaw:
@@ -454,6 +507,9 @@ class _CountingStream:
         self.counts[self.depth] += out.size
         return self.rng.random(out=out)
 
+    def binomial(self, n, p):
+        return self.rng.binomial(n, p)
+
 
 class TestShippedPointTiles:
     """Counts at the benchmark's inputs, the shipped point (h_min 0.9) at
@@ -461,8 +517,9 @@ class TestShippedPointTiles:
     share of it.  TestStreamContract pins only h_min = 0.
 
     At the shipped radius the sign rule is on, no row succeeds, and at
-    F = 1000 about 60 rows a block keep their head and draw a tail, so the
-    tail uniforms drawn are pinned too.  At radius^2 = 1.805 F, above the
+    F = 1000 almost all of the about 64 rows a block whose head signs are
+    positive keep their head and draw a tail, so the tail uniforms drawn
+    are pinned too.  At radius^2 = 1.805 F, above the
     rule's gap^2 of 3.42, the rule is off and rows with fewer than about
     half their signs wrong succeed.  The values were taken from the kernel
     with eighth-of-a-tile head tiles.
@@ -471,8 +528,8 @@ class TestShippedPointTiles:
     # F -> per seed 1, 2, 3: (successes, tail uniforms drawn) at the shipped
     # radius over PIN_TRIALS
     SHIPPED = {
-        100: [(0, 92), (0, 0), (0, 92)],
-        1000: [(0, 121024), (0, 123008), (0, 123008)],
+        100: [(0, 0), (0, 0), (0, 0)],
+        1000: [(0, 126976), (0, 129952), (0, 131936)],
     }
     # F -> (trials, successes per seed 1, 2, 3) at the rule-off radius
     RULE_OFF = {100: (PIN_TRIALS, [16763, 16745, 16747]), 1000: (3000, [1511, 1466, 1475])}

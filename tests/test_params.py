@@ -1,5 +1,7 @@
 """Parameter model, validation, and JSON round-trip tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from crpla.errors import (
 from crpla.params import (
     SecurityReport,
     SystemParams,
+    db_to_linear,
     params_from_config,
     params_to_config,
     validate,
@@ -113,6 +116,37 @@ class TestConfig:
         params = params_from_config(_config(lambda_B_dB=30))
         assert params.lambda_B == pytest.approx(1000.0, rel=1e-15)
         assert params.lambda_T == pytest.approx(300.0, rel=1e-15)
+
+    def test_db_underflow_is_a_config_error(self):
+        message = "lambda_B_dB = -4000.0 underflows the linear scale"
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            db_to_linear(-4000.0)
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            params_from_config(_config(lambda_B_dB=-4000))
+        assert db_to_linear(-3235.0) == 5e-324  # the smallest subnormal is no underflow
+
+    @pytest.mark.parametrize(
+        "snr, message",
+        [
+            # 0.3 of the smallest subnormal rounds to 0
+            (
+                dict(lambda_B_dB=-3235),
+                "lambda_T_over_lambda_B = 0.3 underflows lambda_T = 0.3 * 5e-324 to 0",
+            ),
+            (
+                dict(lambda_B_dB=None, lambda_B=1e-300, lambda_T_over_lambda_B=1e-30),
+                "lambda_T_over_lambda_B = 1e-30 underflows lambda_T = 1e-30 * 1e-300 to 0",
+            ),
+        ],
+        ids=["db", "linear"],
+    )
+    def test_lambda_t_underflow_names_the_ratio(self, snr, message):
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            params_from_config(_config(**snr))
+
+    def test_zero_ratio_is_no_underflow(self):
+        with pytest.raises(NonPositiveSnr, match="lambda_T must be finite and > 0, got 0.0"):
+            params_from_config(_config(lambda_T_over_lambda_B=0.0))
 
     def test_h_max_defaults_to_one(self):
         params = params_from_config(_config(h_max=None))

@@ -606,6 +606,23 @@ class TestInputErrors:
         assert cli.main(["analyze", "--config", path]) == 1
         assert "lambda_B_dB" in _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(lambda_B_dB=-4000), "error: lambda_B_dB = -4000.0 underflows the linear scale\n"),
+            # lambda_B is 5e-324, the smallest subnormal, and 0.3 of it rounds to 0
+            (
+                dict(lambda_B_dB=-3235),
+                "error: lambda_T_over_lambda_B = 0.3 underflows lambda_T = 0.3 * 5e-324 to 0\n",
+            ),
+        ],
+        ids=["db_underflow", "lambda_t_underflow"],
+    )
+    def test_snr_underflow_in_config(self, tmp_path, capsys, params, message):
+        path = write_json(tmp_path / "p.json", dict(BASE_PARAMS, **params))
+        assert cli.main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == message
+
     def test_db_overflow_in_sweep(self, tmp_path, capsys):
         spec = spec_dict(sweep={"variable": "lambda_B_dB", "values": [40, 4000]})
         path = write_json(tmp_path / "s.json", spec)
@@ -660,7 +677,12 @@ class TestInputErrors:
         assert not (tmp_path / "o.csv").exists()
 
     _DB_OVERFLOW = "error: lambda_B_dB = 4000.0 overflows the linear scale\n"
+    _DB_UNDERFLOW = "error: lambda_B_dB = -4000.0 underflows the linear scale\n"
     _LAMBDA_T_OVERFLOW = "error: lambda_T must be finite and > 0, got inf\n"
+    _RATIO_UNDERFLOW = "error: lambda_ratio = 1e-320 underflows lambda_T = 1e-320 * 1e-05 to 0\n"
+    _DB_LAMBDA_T_UNDERFLOW = (
+        "error: lambda_B_dB = -3235.0 underflows lambda_T = 0.3 * 5e-324 to 0\n"
+    )
     _CD_OVERFLOW = "numeric failure: CD key bits are not finite at this operating point\n"
     _HUGE_H_MAX = dict(h_max=1e140, h_min=0.0)  # at 300 dB S = lambda_B h_max^2 overflows
 
@@ -669,13 +691,21 @@ class TestInputErrors:
         [
             ("lambda_B_dB", [40, 4000, 50], {}, ["CD", "HYBRID_OPT"], 1, _DB_OVERFLOW),
             ("lambda_ratio", [0.3, 1e308, 0.5], {}, ["CD", "HYBRID_OPT"], 1, _LAMBDA_T_OVERFLOW),
+            ("lambda_B_dB", [40, -4000, 50], {}, ["CD", "HYBRID_OPT"], 1, _DB_UNDERFLOW),
+            # lambda_T = 1e-325 at 1e-5, and 0.3 of the smallest subnormal, round to 0
+            (
+                "lambda_ratio", [0.3, 1e-320, 0.5], dict(lambda_B_dB=-50), ["CD", "HYBRID_OPT"], 1,
+                _RATIO_UNDERFLOW,
+            ),
+            ("lambda_B_dB", [40, -3235, 50], {}, ["CD", "HYBRID_OPT"], 1, _DB_LAMBDA_T_UNDERFLOW),
             ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["HYBRID_OPT", "CH"], 2, _CH_RADIUS_0),
             ("lambda_B_dB", [40, 300, 50], _HUGE_H_MAX, ["CD", "CH", "HYBRID_OPT"], 2, _CD_OVERFLOW),
             # the middle point's grid fails before the last point's dB value overflows
             ("lambda_B_dB", [40, 300, 4000], _HUGE_H_MAX, ["HYBRID_OPT", "CH"], 2, _CH_RADIUS_0),
         ],
         ids=[
-            "db_overflow", "ratio_overflow", "grid_not_finite", "cd_before_grid",
+            "db_overflow", "ratio_overflow", "db_underflow", "ratio_underflow",
+            "db_lambda_t_underflow", "grid_not_finite", "cd_before_grid",
             "grid_before_db_overflow",
         ],
     )  # fmt: skip
