@@ -14,8 +14,8 @@ Trials are partitioned into fixed blocks of ``BLOCK_TRIALS`` = 2**14.
 Block ``b`` of run ``seed`` draws from the SFC64 generator seeded by
 ``SeedSequence(seed mod 2**64, spawn_key=(b,))``, numpy's way to make
 independent parallel streams; the pilot kernel uses the two child streams
-``spawn_key=(b, 0)`` and ``(b, 1)``, and the attack kernel the child
-stream ``(b, 1)``.  ``_block_rng`` is the only place a generator is made.
+``spawn_key=(b, 0)`` and ``(b, 1)``.  ``_block_rng`` is the only place a
+generator is made.
 The draw order inside a block is fixed, so every trial's outcome is a
 pure function of (seed, trials); per-block partial results are reduced
 in block order, so counts, means, and variances are bit-identical no
@@ -29,21 +29,17 @@ Draw order inside a block (one row per trial, rows in trial order):
   cancels from the statistic, are drawn.  numpy computes chisquare(F) as
   2 * standard_gamma(F/2), so the kernel draws ``standard_gamma(F / 2)``
   into its own array and doubles it: the same bits, with no new array;
-* attack: a head of k = min(F, ``HEAD_COLUMNS``) coordinates of the
-  challenge h, k uniforms from the block's stream (where the sign rule
-  below is on, only for the rows it keeps).  Only a row whose head
-  distance is within the radius draws its tail, the other F - k
-  coordinates, from child stream 1, in the order of those rows; the
-  stream is made when a block first needs it.  Each signed amplitude
-  comes from one uniform u as copysign(h_min + |v| * (h_max - h_min), v)
-  with v = 2u - 1.  No guess is drawn: the guess is the fixed point
-  (c, ..., c), with c = h_min + (h_max - h_min)/2 when h_min > 0 and
-  c = 0 when h_min = 0, and a coordinate's distance is h_k - c.  The
-  admissible set is symmetric in every sign, so this guess succeeds with
-  the law of the centre guess c * sigma of a random sign pattern sigma.
-  A row succeeds when head + tail, rounded once, is at most radius *
-  radius.  The tail adds squares and rounding is monotone, so a head
-  beyond the radius decides the row exactly;
+* attack: where the window [lo, hi) below is narrower than [0, 1), first
+  the count of rows whose F uniforms all lie in it,
+  ``Generator.binomial(rows, q**F)`` with q = hi - lo; then F uniforms w
+  per counted row (per row, where q = 1), each taken to u = lo + q * w.
+  A coordinate of the challenge h is copysign(h_min + |v| * (h_max -
+  h_min), v) with v = 2u - 1.  The guess is the fixed point (c, ..., c),
+  c = h_min + (h_max - h_min)/2 when h_min > 0 and 0 when h_min = 0; the
+  admissible set is symmetric in every sign, so it succeeds with the law
+  of the centre guess c * sigma of a random sign pattern sigma.  A row
+  succeeds when its squared distance, summed and rounded, is at most
+  radius * radius;
 * pilot estimation: pilot_count uniforms, the pilot phases over 2*pi,
   from child stream 0, and 2 * pilot_count standard normals, the real
   then the imaginary noise parts, from child stream 1.  A pilot's
@@ -53,21 +49,18 @@ Draw order inside a block (one row per trial, rows in trial order):
 
 Two rules skip work whose outcome is already known.
 
-* Sign rule (attack).  Let gap = fl(h_min + c).  A coordinate whose
-  uniform is below 1/2 is negative, h_k = -a with a = fl(h_min + |v| *
-  (h_max - h_min)) >= h_min, so |h_k - c| = fl(a + c) >= gap and its
-  square is at least fl(gap * gap).  When h_min > 0 and fl(gap * gap) >
-  radius^2, a row with any such coordinate is beyond the radius exactly:
-  rounding is monotone, and a rounded sum of non-negative terms is at
-  least each of its terms.  Only the rows whose k head signs are all
-  positive can then succeed, and their number is Binomial(rows, 2^-k).
-  The block draws that count first, ``Generator.binomial(rows, 0.5**k)``,
-  and then, in the same stream, the k uniforms w of each such row's head,
-  whose magnitudes are a = h_min + w * (h_max - h_min): the law of the
-  heads of the rows it stands for, given their signs (conditional Monte
-  Carlo).  Of the tails a block draws it transforms only those whose first
-  ``HEAD_COLUMNS`` uniforms are at least 1/2, keeping row order.  At
-  h_min = 0 the guess is the origin, no sign is wrong, and the rule is off.
+* Window (attack).  A coordinate h(u) is monotone in u (it jumps from
+  -h_min to +h_min at u = 1/2), and a rounded sum of non-negative terms
+  is at least each term, so a row can succeed only if each uniform lies
+  in the interval whose coordinates are alone within the radius.
+  ``_window`` widens it by 2^-40 (radius + h_max) + 2^-537 on the
+  amplitude scale, more than every rounding and underflow between u and
+  a square, and clips it to [lo, hi).  The rows with all F uniforms
+  inside number Binomial(rows, q^F); given that count they are uniform
+  on the window (conditional Monte Carlo), so the success count keeps
+  its law.  Where q^F underflows to 0 the count is 0, and the chance that
+  a row of the block would have counted is below rows * q^F < rows *
+  2^-1074.
 * Octant fold (pilot).  With s = 1/2 - u, theta = 2 pi u = pi - 2 pi s;
   s, b = |s| - 1/4, c = |b| and r = min(c, 1/4 - c) in [0, 1/8] are all
   exact (Sterbenz), and cos(theta) = copysign(sin(2 pi c), b), sin(theta)
@@ -94,15 +87,16 @@ the tiles concatenate to the whole-block draw and every count, and every
 per-row pilot estimate, is independent of the tile size; memory per
 worker stays bounded as F and pilot_count grow.
 
-This is version 7 of the reproducibility contract: version 6 drew every
-attack row's head, and version 7 draws the conditioned heads of the sign
-rule; the false-alarm and pilot streams, and the attack stream where the
-rule is off, are those of version 6.  Its results are pinned by
+This is version 8 of the reproducibility contract.  Version 7 drew an
+attack row's first eight coordinates, then the rest from child stream 1,
+and with the sign rule only rows of positive head signs; version 8 draws
+the window count and whole rows from the block's stream, and leaves the
+false-alarm and pilot streams as they were.  Its results are pinned by
 ``tests/test_montecarlo.py::TestStreamContract``.  The gamma sampler
 calls the platform's ``log`` (and ``pow`` at F = 1), and the binomial
-sampler ``log`` and ``exp``, so a false-alarm count, an attack count where
-the sign rule is on, and a pilot moment through ``sin`` can differ where
-libm rounds differently.
+sampler ``log`` and ``exp``, so a false-alarm count, an attack count
+where q < 1, and a pilot moment through ``sin`` can differ where libm
+rounds differently.
 """
 
 from __future__ import annotations
@@ -128,21 +122,14 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 14
-# Draws held at once per block by the attack and pilot kernels; the
-# attack's amplitudes add as much again, so its working set stays within a
-# 2 MiB per-core L2 cache.  The pilot kernel's phases and the real and
-# imaginary parts of its noise add one and a half tiles.  The false-alarm
-# kernel draws one value per row and walks no tiles.
-TILE_BYTES = 1 << 20
-# Attack head tiles take TILE_BYTES / HEAD_TILE_SHARE: where heads decide
-# almost every row and the sign rule is off, they are most of the memory a
-# block touches.
-HEAD_TILE_SHARE = 4
-# Coordinates of h in an attack row's head; a row whose head is already
-# outside the radius draws no tail.
-HEAD_COLUMNS = 8
-# A row of HEAD_COLUMNS true flags viewed as one 64-bit word.
-_ALL_FLAGS = np.frombuffer(b"\x01" * HEAD_COLUMNS, dtype=np.uint64)[0]
+# Draws held at once by one tile of the attack and pilot kernels.  The
+# attack's amplitudes add a tile, the pilot kernel's phases and noise parts
+# one and a half; a one-pilot block is one tile.  The false-alarm kernel
+# draws one value per row and walks no tiles.
+TILE_BYTES = 1 << 18
+# Relative widening of the attack window (``_window``), far above the few
+# roundings between a uniform and its coordinate's squared distance.
+_WINDOW_MARGIN = 2.0**-40
 # SeedSequence takes no negative entropy; a negative seed is read as its
 # 64-bit two's complement.
 _SEED_MASK = (1 << 64) - 1
@@ -166,10 +153,10 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     return out
 
 
-def _tile_rows(rows: int, cols: int, share: int = 1) -> int:
-    """Rows of ``cols`` float64 draws in a tile of ``TILE_BYTES // share``
-    bytes: at least one, and at most the block's ``rows``."""
-    return min(rows, max(1, TILE_BYTES // share // (8 * cols)))
+def _tile_rows(rows: int, cols: int) -> int:
+    """Rows of ``cols`` float64 draws in a tile of ``TILE_BYTES`` bytes: at
+    least one, and at most the block's ``rows``."""
+    return min(rows, max(1, TILE_BYTES // (8 * cols)))
 
 
 def _views(*sizes: int) -> list[np.ndarray]:
@@ -262,14 +249,15 @@ def _signed_amplitudes(
 ) -> np.ndarray:
     """copysign(h_min + |v| * (h_max - h_min), v) with v = 2u - 1, from uniforms u.
 
-    ``u`` is overwritten.  u - 1/2 = v/2 is exact and carries v's sign, and
-    doubling the span instead of v gives the same bits with one pass less.
+    ``u`` is overwritten, and ``out`` may be ``u`` (at the cost of a
+    temporary).  u - 1/2 = v/2 is exact, and its product x with twice the
+    span keeps v's sign, zeros included, so x + copysign(h_min, x) has the
+    bits of the signed sum of the magnitudes.
     """
     u -= 0.5
-    amplitude = np.abs(u, out=out)
-    amplitude *= 2.0 * (h_max - h_min)
-    amplitude += h_min
-    return np.copysign(amplitude, u, out=amplitude)
+    u *= 2.0 * (h_max - h_min)
+    offset = np.copysign(h_min, u, out=None if out is u else out)
+    return np.add(u, offset, out=offset if out is None else out)
 
 
 # --- pilot estimation -------------------------------------------------------
@@ -297,9 +285,12 @@ def _pilot_block(
         w = noise_rng.standard_normal(out=noise[: rows - start])
         tile = len(w)
         # Contiguous parts: the arithmetic below would take about three
-        # times as long on the interleaved columns.
-        w_r = np.multiply(w[:, :pilots], sigma_b, out=real[:tile])
-        w_i = np.multiply(w[:, pilots:], sigma_b, out=imaginary[:tile])
+        # times as long on the interleaved columns, which are copied:
+        # scaling them across would make numpy buffer them.
+        w *= sigma_b
+        w_r, w_i = real[:tile], imaginary[:tile]
+        np.copyto(w_r, w[:, :pilots])
+        np.copyto(w_i, w[:, pilots:])
         # The octant fold (module docstring): s = 1/2 - u, b = |s| - 1/4,
         # c = |b| and y = 2 pi min(c, 1/4 - c); cos(theta) = copysign(sin
         # 2 pi c, b) and sin(theta) = copysign(cos 2 pi c, s), where sin 2 pi c
@@ -421,101 +412,58 @@ def measure_false_alarm(
 # --- geometric attack success ------------------------------------------------
 
 
-def _magnitudes(
-    w: np.ndarray, h_min: float, h_max: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """h_min + w * (h_max - h_min), the positive amplitudes, from uniforms w."""
-    amplitude = np.multiply(w, h_max - h_min, out=out)
-    amplitude += h_min
-    return amplitude
+def _window(h_min: float, h_max: float, radius: float) -> tuple[float, float]:
+    """The uniforms [lo, hi) whose coordinate alone can lie within
+    ``radius`` of the guess, widened and clipped (module docstring).
 
-
-def _right_signs(u: np.ndarray, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Whether each row of uniforms ``u`` has its first ``HEAD_COLUMNS``
-    entries, or all of a shorter row, at least 1/2: the rows the sign rule
-    keeps, written to ``out``.  ``flags`` holds at least one row of
-    ``HEAD_COLUMNS`` booleans per row of ``u``."""
-    rows, cols = u.shape
-    cols = min(cols, HEAD_COLUMNS)
-    flags = flags[:rows]
-    np.greater_equal(u[:, :cols], 0.5, out=flags[:, :cols])
-    flags[:, cols:] = True
-    # A row's flags read as one word: one comparison per row, not a reduction.
-    return np.equal(flags.view(np.uint64)[:, 0], _ALL_FLAGS, out=out[:rows])
-
-
-def _compress(keep: np.ndarray, a: np.ndarray, space: np.ndarray) -> np.ndarray:
-    """The rows of ``a`` where ``keep`` holds, in order, written to the start of ``space``."""
-    shape = (int(np.count_nonzero(keep)), *a.shape[1:])
-    return np.compress(keep, a, axis=0, out=space[: math.prod(shape)].reshape(shape))
+    A negative coordinate is at least gap = h_min + centre from the guess,
+    so where gap exceeds the widened radius the window lies at or above
+    1/2; at h_min = 0 it is symmetric about 1/2, and at h_max = h_min every
+    positive coordinate is the guess itself.
+    """
+    span = h_max - h_min
+    centre = h_min + span / 2.0 if h_min > 0.0 else 0.0
+    # A square below 2^-1075 rounds to 0, so a distance below 2^-537 is within any radius.
+    reach = radius + _WINDOW_MARGIN * (radius + h_max) + 2.0**-537
+    gap = h_min + centre
+    if span == 0.0:
+        return (0.5 if gap > reach else 0.0), 1.0
+    # u - 1/2 is (h - h_min) / (2 span) for a coordinate h >= h_min and
+    # (h + h_min) / (2 span) for h <= -h_min.
+    hi = min(1.0, 0.5 + (centre + reach - h_min) / (2.0 * span))
+    if gap > reach:
+        return 0.5 + max(0.0, centre - reach - h_min) / (2.0 * span), hi
+    return max(0.0, 0.5 + min(0.0, centre - reach + h_min) / (2.0 * span)), hi
 
 
 def _attack_block(
     seed: int, block: int, rows: int, F: int, h_min: float, h_max: float, radius_sq: float
 ) -> int:
-    k = min(F, HEAD_COLUMNS)
-    tail_cols = F - k
-    head_rows = _tile_rows(rows, k, share=HEAD_TILE_SHARE)
-    tail_rows = _tile_rows(rows, tail_cols) if tail_cols else 0
-    # Head and tail tiles share the space, sized to what the block needs:
-    # per head row, its distance, a survivor's distance, a tail row's
-    # distance, HEAD_COLUMNS flags and a mask bit; then the draws, and the
-    # rows the sign rule keeps or the amplitudes.  A tail tile holds
-    # survivors of one head tile, so head_rows rows serve both.
-    size = max(head_rows * k, tail_rows * tail_cols)
-    head_space, survivor_space, tail_space, flags, mask, draws, kept = _views(
-        head_rows, head_rows, head_rows, head_rows, _flag_size(head_rows), size, size
-    )
-    flags = flags.view(bool).reshape(head_rows, HEAD_COLUMNS)
+    rng = _block_rng(seed, block)
+    lo, hi = _window(h_min, h_max, math.sqrt(radius_sq))
+    width = hi - lo
+    if width < 1.0:
+        # Only a row whose every uniform lies in the window can succeed: draw
+        # how many do, then only their uniforms (the module docstring).
+        rows = int(rng.binomial(rows, width**F))
+    if not rows:
+        return 0
+    tile_rows = _tile_rows(rows, F)
+    size = tile_rows * F
+    dist, mask, draws, amplitudes = _views(tile_rows, _flag_size(tile_rows), size, size)
     mask = mask.view(bool)
     # Every coordinate of the guess: the centre of the positive cube, or the origin.
     centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
-    # A negative coordinate is at least h_min + centre from the guess; where
-    # that alone leaves the ball, only rows of positive coordinates can
-    # succeed (the sign rule of the module docstring).  The block then draws
-    # how many rows have k positive head signs and only their heads, as
-    # magnitudes; a tail's kept uniforms move to ``kept`` and their
-    # amplitudes go over the draws.
-    gap = h_min + centre
-    sign_rule = h_min > 0.0 and gap * gap > radius_sq
-    amplitudes = draws if sign_rule else kept
-
-    def distances(u: np.ndarray, out: np.ndarray, transform=_signed_amplitudes) -> np.ndarray:
-        """Squared distances to the guess of the rows of uniforms ``u``, which it overwrites."""
-        d = transform(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
-        d -= centre
-        return np.einsum("ij,ij->i", d, d, out=out[: len(d)])
-
-    rng = _block_rng(seed, block)
-    heads, head_transform = rows, _signed_amplitudes
-    if sign_rule:
-        heads, head_transform = int(rng.binomial(rows, 0.5**k)), _magnitudes
-    tail_rng = None
     successes = 0
-    for start in range(0, heads, head_rows):
-        n = min(head_rows, heads - start)
-        u = rng.random(out=draws[: n * k].reshape(n, k))
-        head = distances(u, head_space, head_transform)
-        # The tail adds squares and rounding is monotone, so a head beyond
-        # the radius puts the whole row beyond it.
-        within = np.less_equal(head, radius_sq, out=mask[: len(head)])
-        if not tail_cols:
-            successes += int(np.count_nonzero(within))
-            continue
-        survivors = _compress(within, head, survivor_space)
-        if not len(survivors):
-            continue
-        if tail_rng is None:
-            tail_rng = _block_rng(seed, block, 1)
-        for first in range(0, len(survivors), tail_rows):
-            dist = survivors[first : first + tail_rows]
-            u = tail_rng.random(out=draws[: len(dist) * tail_cols].reshape(len(dist), tail_cols))
-            if sign_rule:
-                keep = _right_signs(u, flags, mask)
-                dist, u = _compress(keep, dist, tail_space), _compress(keep, u, kept)
-            dist += distances(u, head_space)
-            within = np.less_equal(dist, radius_sq, out=mask[: len(dist)])
-            successes += int(np.count_nonzero(within))
+    for start in range(0, rows, tile_rows):
+        u = rng.random(out=draws[: min(tile_rows, rows - start) * F].reshape(-1, F))
+        if width < 1.0:
+            u *= width
+            u += lo
+        d = _signed_amplitudes(u, h_min, h_max, out=amplitudes[: u.size].reshape(u.shape))
+        d -= centre
+        row_dist = np.einsum("ij,ij->i", d, d, out=dist[: len(d)])
+        successes += int(np.count_nonzero(np.less_equal(row_dist, radius_sq, out=mask[: len(d)])))
     return successes
 
 

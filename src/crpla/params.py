@@ -221,12 +221,13 @@ def db_to_linear(db: float) -> float:
 
 def lambda_t_from_ratio(ratio: float, lambda_b: float, key: str, value: float) -> float:
     """lambda_T = ratio * lambda_B, set by the input ``key`` = ``value``.  A
-    product of positive factors that underflows to 0 is a config error that
-    names that input, not lambda_T, which the user did not set."""
+    product of finite positive factors that under- or overflows is a config
+    error that names that input, not lambda_T, which the user did not set."""
     lambda_t = ratio * lambda_b
-    if lambda_t == 0.0 and ratio > 0.0 and lambda_b > 0.0:
+    if lambda_t in (0.0, math.inf) and 0.0 < ratio < math.inf and 0.0 < lambda_b < math.inf:
+        flow = "underflows" if lambda_t == 0.0 else "overflows"
         raise ConfigParseError(
-            f"{key} = {value!r} underflows lambda_T = {ratio!r} * {lambda_b!r} to 0"
+            f"{key} = {value!r} {flow} lambda_T = {ratio!r} * {lambda_b!r} to {lambda_t:g}"
         )
     return lambda_t
 

@@ -5,10 +5,10 @@ the same machinery runs at reduced trial counts with seeded draws.
 """
 
 import ast
-import collections
 import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import sys
 import tracemalloc
@@ -130,6 +130,19 @@ class TestChallengeDraw:
         rng = np.random.default_rng(1)
         h = self.draw(params, rng)
         assert np.any(h < 0) and np.any(h > 0)
+
+    @pytest.mark.parametrize("h_min, h_max", [(0.5, 1.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)])
+    def test_in_place_call_has_the_same_bits(self, h_min, h_max):
+        # 0 and 1/2 are the ends of the negative and positive sides, and a
+        # zero span or h_min = 0 leaves only a zero's sign to carry the sign.
+        u = np.concatenate([[0.0, 0.5, np.nextafter(0.5, 0.0)], np.random.default_rng(2).random(50)])
+        expected = montecarlo._signed_amplitudes(u.copy(), h_min, h_max).view(np.int64)
+        buffer = u.copy()
+        got = montecarlo._signed_amplitudes(buffer, h_min, h_max, out=buffer)
+        assert got is buffer and np.array_equal(got.view(np.int64), expected)
+        out = np.empty_like(u)
+        got = montecarlo._signed_amplitudes(u.copy(), h_min, h_max, out=out)
+        assert got is out and np.array_equal(got.view(np.int64), expected)
 
 
 class TestPilotEstimation:
@@ -301,173 +314,111 @@ def _whole_row_distances(rng, rows, F, h_min, h_max):
     return np.einsum("ij,ij->i", d, d)
 
 
-def _attack_distances(seed, rows, F, h_min, h_max, radius_sq):
-    """Block 0's row distances at ``radius_sq`` under version 6 of the stream
-    contract, assembled row by row.
+class TestAttackWindow:
+    """The attack kernel draws only rows whose every uniform lies in the
+    window of ``_window``: the window must hold every uniform whose
+    coordinate alone is within the radius, and the counts must follow the
+    law of whole rows in each of its branches."""
 
-    Each row's head, k = min(F, HEAD_COLUMNS) coordinates of h, comes from
-    the block's stream.  A row whose head distance is within the radius
-    adds the distance of its tail, the remaining F - k coordinates, drawn
-    in row order from the block's child stream 1; the other rows keep their
-    head distance, which is beyond the radius.
-    """
-    k = min(F, montecarlo.HEAD_COLUMNS)
-    dist = _whole_row_distances(montecarlo._block_rng(seed, 0), rows, k, h_min, h_max)
-    survivors = np.flatnonzero(dist <= radius_sq)
-    if F > k and len(survivors):
-        tail_rng = montecarlo._block_rng(seed, 0, 1)
-        dist[survivors] += _whole_row_distances(tail_rng, len(survivors), F - k, h_min, h_max)
-    return dist
-
-
-def _sign_rule_on(h_min, h_max, radius_sq):
-    """Whether the attack kernel's sign rule is on: h_min > 0 and a negative
-    coordinate alone, at least gap = h_min + centre from the guess, is
-    beyond the radius."""
-    gap = h_min + (h_min + (h_max - h_min) / 2.0)
-    return h_min > 0.0 and gap * gap > radius_sq
-
-
-class TestHeadRejection:
-    """The attack kernel draws a row's tail only when the row's head is
-    within the radius; its counts must equal those of the rows the in-test
-    reference assembles from head and tail, at every radius and tile size
-    where the sign rule is off.  At F <= HEAD_COLUMNS a row is all head.
-    Where the rule is on, the kernel draws other rows of the same law
-    (TestConditionedHead)."""
-
-    ROWS = {1000: 500}  # rows per block; 2000 at every other F
-
-    @pytest.mark.parametrize("tile_bytes", [None, 7 * 8 * 2000], ids=["tiles", "small_tiles"])
-    @pytest.mark.parametrize("h_min", [0.0, 0.5])
-    @pytest.mark.parametrize("F", [1, 2, 3, 8, 9, 100, 1000])
-    def test_counts_equal_whole_row_reference(self, monkeypatch, F, h_min, tile_bytes):
-        if tile_bytes is not None:
-            monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
-        k = min(F, montecarlo.HEAD_COLUMNS)
-        rows = self.ROWS.get(F, 2000)
-        head = _whole_row_distances(montecarlo._block_rng(41, 0), rows, k, h_min, 1.0)
-        dist = _attack_distances(41, rows, F, h_min, 1.0, math.inf)  # every row whole
-        # Row 0 is the first survivor at every radius that keeps it, so it
-        # always takes the child stream's first tail: its distance is a
-        # boundary at every radius.
-        boundary = float(dist[0])
-        radii = {
-            "all_pruned": 0.5 * float(head.min()),
-            "some_pruned": float(np.quantile(head, 0.3)),
-            "none_pruned": max(float(head.max()), float(np.median(dist))),
-            "boundary": boundary,
-            "below_boundary": math.nextafter(boundary, 0.0),
-        }
-        if F > k:  # the radii reach the regimes they are named for
-            assert np.all(head > radii["all_pruned"])
-            assert 0 < np.count_nonzero(head > radii["some_pruned"]) < rows
-            assert not np.any(head > radii["none_pruned"])
-        for name, radius_sq in radii.items():
-            if _sign_rule_on(h_min, 1.0, radius_sq):
-                continue
-            expected = _attack_distances(41, rows, F, h_min, 1.0, radius_sq) <= radius_sq
-            got = montecarlo._attack_block(41, 0, rows, F, h_min, 1.0, radius_sq)
-            assert got == np.count_nonzero(expected), (name, radius_sq)
-            if name.endswith("boundary"):  # row 0 counts at <= and not below it
-                assert expected[0] == (name == "boundary")
-
-    @pytest.mark.parametrize("F", [9, 10])
-    def test_rows_whose_distance_is_all_in_the_head(self, F):
-        # With |h_k| = 1 and the guess 1 every d_k^2 is 0 or 4 and every sum is exact,
-        # so a row whose sign mismatches all fall in the head has a head
-        # distance equal to its whole distance; at a radius equal to both it
-        # must count.
-        k = montecarlo.HEAD_COLUMNS
-        head = _whole_row_distances(montecarlo._block_rng(42, 0), 2000, k, 1.0, 1.0)
-        for radius_sq in [4.0 * m for m in range(1, k)]:
-            dist = _attack_distances(42, 2000, F, 1.0, 1.0, radius_sq)
-            assert np.any((head == dist) & (dist == radius_sq)), radius_sq
-            got = montecarlo._attack_block(42, 0, 2000, F, 1.0, 1.0, radius_sq)
-            assert got == np.count_nonzero(dist <= radius_sq), radius_sq
-
-
-class TestSignRule:
-    """Where h_min > 0 and one negative coordinate already puts a row
-    beyond the radius, the attack kernel draws only the heads whose signs
-    are positive and transforms only the drawn tails whose signs are.
-    Where the rule is off, at and above the radius^2 where it turns on, its
-    counts must equal those of the v6 kernel, which ``_attack_distances``
-    assembles from every head; TestConditionedHead checks the law where it
-    is on."""
+    @staticmethod
+    def within(u, h_min, h_max, radius_sq):
+        """Whether each uniform's coordinate alone is within the radius, as the kernel rounds it."""
+        centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
+        d = montecarlo._signed_amplitudes(np.array(u, dtype=float), h_min, h_max) - centre
+        return d * d <= radius_sq
 
     @given(
-        F=st.sampled_from([8, 9, 16, 100]),
-        h_min=st.floats(0.01, 0.99),
-        side=st.sampled_from(["spread", "gap", "above_gap"]),
-        spread=st.floats(0.05, 3.0),
-        rows=st.integers(1, 3000),
-        seed=st.integers(0, 2**32),
+        h_max=st.one_of(st.just(1.0), st.floats(1e-300, 1e300)),
+        share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        scale=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]),
+            st.floats(0.0, 4.0),
+            st.floats(0.0, 1e-6),
+            st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+        ),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_counts_equal_unfiltered_kernel(self, F, h_min, side, spread, rows, seed):
-        centre = h_min + (1.0 - h_min) / 2.0
-        gap_sq = (h_min + centre) * (h_min + centre)
-        # "spread": a multiple of the mean distance of a row of positive
-        # coordinates, F (1 - h_min)^2 / 12, where that reaches gap^2; the
-        # others lie at and above the rule's threshold gap^2.
-        radius_sq = {
-            "spread": spread * F * (1.0 - h_min) ** 2 / 12.0,
-            "gap": gap_sq,
-            "above_gap": spread * gap_sq + gap_sq,
-        }[side]
-        assume(not _sign_rule_on(h_min, 1.0, radius_sq))
-        expected = _attack_distances(seed, rows, F, h_min, 1.0, radius_sq) <= radius_sq
-        got = montecarlo._attack_block(seed, 0, rows, F, h_min, 1.0, radius_sq)
-        assert got == np.count_nonzero(expected)
+    @settings(max_examples=300, deadline=None)
+    def test_holds_every_coordinate_within_the_radius(self, h_max, share, scale):
+        # h_min = share * h_max takes in h_min = 0 and a zero span; the radius
+        # is scale times the gap h_min + centre of a negative coordinate, or
+        # times h_max where that gap is 0.
+        h_min = share * h_max
+        centre = h_min + (h_max - h_min) / 2.0 if h_min > 0.0 else 0.0
+        radius = scale * ((h_min + centre) or h_max)
+        radius_sq = radius * radius
+        lo, hi = montecarlo._window(h_min, h_max, math.sqrt(radius_sq))
+        assert 0.0 <= lo <= hi <= 1.0
+        # The uniform that maps onto the guess.
+        assert lo <= (0.75 if h_min > 0.0 else 0.5) <= hi
+        # The 64 uniforms below lo, and hi with the 63 above it: the
+        # coordinates within the radius come from one interval of u, which
+        # holds the guess's uniform, so none of these may be within it.
+        outside = [
+            u
+            for edge, step in ((lo, -1.0), (hi, 2.0))
+            for u in itertools.accumulate(range(64), lambda u, _: np.nextafter(u, step), initial=edge)
+            if 0.0 <= u < 1.0 and not lo <= u < hi
+        ]
+        assert not np.any(self.within(outside, h_min, h_max, radius_sq))
+        # Where q^F underflows to 0, as at radius 0, no row is drawn.
+        got = montecarlo._attack_block(3, 0, 64, 1000, h_min, h_max, radius_sq)
+        assert got == 0 if (hi - lo) ** 1000 == 0.0 else 0 <= got <= 64
 
-    def test_pinned_where_the_rule_is_on_and_rows_succeed(self):
-        # TestStreamContract pins only h_min = 0, where the rule is off.  Here
-        # gap^2 = 1.5625 against a radius^2 of 0.32.
-        params = make(F=9, h_min=0.5, lambda_B=50.0, lambda_T=50.0, pilot_count=1)
-        r = radius(params, channel.threshold_from_pfa(params.p_FA, params.F))
-        assert (0.5 + 0.75) ** 2 > r * r
-        counts = [measure_attack_success(params, r, BLOCK_TRIALS, s).successes for s in range(8)]
-        assert counts == [26, 26, 31, 27, 30, 30, 30, 24]
-
-
-class TestConditionedHead:
-    """Where the sign rule is on, the attack kernel draws how many rows of a
-    block have k = min(F, HEAD_COLUMNS) positive head signs, a binomial
-    count, and only those rows' heads, as magnitudes.  Its counts must
-    follow the law of the v6 rows that ``_attack_distances`` assembles from
-    every head, drawn from other seeds, and must not depend on the tile
-    size."""
-
-    BLOCKS = 400
+    BLOCKS = 200
     ROWS = 4096
 
-    # At h_min 0.5 the rule's gap^2 is 1.5625, above every radius^2 here.
-    # F = 2 is all head; at F = 9 a head within the radius draws a tail,
-    # which the rule filters too.
-    @pytest.mark.parametrize("F, radii_sq", [(2, (0.01, 0.04, 0.09)), (9, (0.2, 0.32))])
-    def test_counts_follow_the_unconditioned_law(self, monkeypatch, F, radii_sq):
-        def kernel_counts(radius_sq, seeds):
-            return [montecarlo._attack_block(s, 0, self.ROWS, F, 0.5, 1.0, radius_sq) for s in seeds]
+    # (F, h_min, h_max, radius^2) in each branch of ``_window``
+    BRANCHES = {
+        # the whole window at h_min = 0 and a radius above h_max: no count is
+        # drawn, and each row is F uniforms of the block's stream
+        "whole": (9, 0.0, 1.0, 2.0),
+        # inside the positive side: lo = 0.65, hi = 0.85
+        "positive_inner": (2, 0.5, 1.0, 0.01),
+        # the positive half: radius^2 0.32 below the gap^2 1.5625
+        "positive_half": (9, 0.5, 1.0, 0.32),
+        # both sides: radius 1.5 above the gap 1.25, lo = 0.25
+        "both_sides": (3, 0.5, 1.0, 2.25),
+        # symmetric about 1/2 at h_min = 0: q = 0.71
+        "symmetric": (4, 0.0, 1.0, 0.5),
+        # a zero span: only the signs vary, and 2^-F rows succeed
+        "zero_span": (3, 1.0, 1.0, 1.0),
+        # the whole window again, where a row with one wrong sign is exactly
+        # at the radius (every d_k^2 is 0 or 4): it must count, and half the
+        # rows succeed
+        "whole_at_the_boundary": (3, 1.0, 1.0, 4.0),
+    }
 
-        # Every reference row whole: its distance decides it at every radius.
-        reference = np.concatenate(
-            [
-                _attack_distances(s, self.ROWS, F, 0.5, 1.0, math.inf)
-                for s in range(self.BLOCKS, 2 * self.BLOCKS)
-            ]
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_counts_follow_the_whole_row_law(self, monkeypatch, branch):
+        F, h_min, h_max, radius_sq = self.BRANCHES[branch]
+        whole = montecarlo._window(h_min, h_max, math.sqrt(radius_sq)) == (0.0, 1.0)
+        assert whole == branch.startswith("whole")
+        kernel = [
+            montecarlo._attack_block(s, 0, self.ROWS, F, h_min, h_max, radius_sq)
+            for s in range(self.BLOCKS)
+        ]
+        rng = np.random.default_rng(45)
+        reference = sum(
+            int(np.count_nonzero(_whole_row_distances(rng, self.ROWS, F, h_min, h_max) <= radius_sq))
+            for _ in range(self.BLOCKS)
         )
         trials = self.BLOCKS * self.ROWS
-        for radius_sq in radii_sq:
-            assert _sign_rule_on(0.5, 1.0, radius_sq)
-            kernel = kernel_counts(radius_sq, range(self.BLOCKS))
-            expected = int(np.count_nonzero(reference <= radius_sq))
-            pooled = (sum(kernel) + expected) / (2 * trials)
-            assert pooled * trials > 1000
-            sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / trials)
-            assert abs(sum(kernel) - expected) / trials < 4.0 * sigma, radius_sq
-        monkeypatch.setattr(montecarlo, "TILE_BYTES", 7 * 8 * 10)
-        assert kernel_counts(radius_sq, range(20)) == kernel[:20]
+        pooled = (sum(kernel) + reference) / (2 * trials)
+        assert pooled * trials > 1000
+        sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / trials)
+        assert abs(sum(kernel) - reference) / trials < 4.0 * sigma
+        if whole:
+            assert kernel[:10] == [
+                np.count_nonzero(
+                    _whole_row_distances(montecarlo._block_rng(s, 0), self.ROWS, F, h_min, h_max)
+                    <= radius_sq
+                )
+                for s in range(10)
+            ]
+        monkeypatch.setattr(montecarlo, "TILE_BYTES", 7 * 8 * F)
+        assert [
+            montecarlo._attack_block(s, 0, self.ROWS, F, h_min, h_max, radius_sq) for s in range(10)
+        ] == kernel[:10]
 
 
 class TestAttackLaw:
@@ -498,13 +449,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class _CountingStream:
-    """A block stream that counts the uniforms drawn from it, by spawn-key depth."""
+    """A block stream that appends the number of uniforms it draws to
+    ``sizes``; appending is atomic, so worker threads may share the list."""
 
-    def __init__(self, rng, depth, counts):
-        self.rng, self.depth, self.counts = rng, depth, counts
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
 
     def random(self, out):
-        self.counts[self.depth] += out.size
+        self.sizes.append(out.size)
         return self.rng.random(out=out)
 
     def binomial(self, n, p):
@@ -513,53 +465,53 @@ class _CountingStream:
 
 class TestShippedPointTiles:
     """Counts at the benchmark's inputs, the shipped point (h_min 0.9) at
-    F = 100 and 1000, must not depend on the tile size or the head tiles'
-    share of it.  TestStreamContract pins only h_min = 0.
+    F = 100 and 1000, must not depend on the tile size or the number of
+    worker threads.  TestStreamContract pins only h_min = 0, and h_min =
+    0.5 at F = 9.
 
-    At the shipped radius the sign rule is on, no row succeeds, and at
-    F = 1000 almost all of the about 64 rows a block whose head signs are
-    positive keep their head and draw a tail, so the tail uniforms drawn
-    are pinned too.  At radius^2 = 1.805 F, above the
-    rule's gap^2 of 3.42, the rule is off and rows with fewer than about
-    half their signs wrong succeed.  The values were taken from the kernel
-    with eighth-of-a-tile head tiles.
+    At the shipped radius the attack window is the positive side of the
+    uniforms, q = 0.42 at F = 100 and 0.5 at F = 1000, so each block
+    draws a Binomial(rows, q^F) count of rows, 0 at every seed here; the
+    pins record that no uniform is drawn.  At radius^2 = 1.805 F,
+    above the gap^2 of 3.42 of a negative coordinate, the window is every
+    uniform, and rows with fewer than about half their signs wrong
+    succeed.
     """
 
-    # F -> per seed 1, 2, 3: (successes, tail uniforms drawn) at the shipped
+    # F -> per seed 1, 2, 3: (successes, uniforms drawn) at the shipped
     # radius over PIN_TRIALS
     SHIPPED = {
         100: [(0, 0), (0, 0), (0, 0)],
-        1000: [(0, 126976), (0, 129952), (0, 131936)],
+        1000: [(0, 0), (0, 0), (0, 0)],
     }
-    # F -> (trials, successes per seed 1, 2, 3) at the rule-off radius
-    RULE_OFF = {100: (PIN_TRIALS, [16763, 16745, 16747]), 1000: (3000, [1511, 1466, 1475])}
+    # F -> (trials, successes per seed 1, 2, 3) where the window is every uniform
+    WHOLE_WINDOW = {100: (PIN_TRIALS, [16916, 16864, 16841]), 1000: (3000, [1471, 1482, 1480])}
 
-    @pytest.mark.parametrize("share", [1, 4, 8])
+    @pytest.mark.parametrize("jobs", [1, 4, 8])
     @pytest.mark.parametrize("tile_bytes", [None, 7 * 8 * 100], ids=["tiles", "small_tiles"])
     @pytest.mark.parametrize("F", [100, 1000])
-    def test_counts_pinned(self, monkeypatch, F, tile_bytes, share):
+    def test_counts_pinned(self, monkeypatch, F, tile_bytes, jobs):
         if tile_bytes is not None:
             monkeypatch.setattr(montecarlo, "TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(montecarlo, "HEAD_TILE_SHARE", share)
         shipped = read_json_object(str(ROOT / "configs" / "point_high_snr.json"))
         params = params_from_config(dict(shipped, F=F))
         geometry = channel.equivalent_key_bits(params, params.p_FA)
         block_rng = montecarlo._block_rng
         got = []
         for seed in (1, 2, 3):
-            counts = collections.Counter()
+            sizes = []
 
-            def counting(s, *key, counts=counts):
-                return _CountingStream(block_rng(s, *key), len(key), counts)
+            def counting(s, *key, sizes=sizes):
+                return _CountingStream(block_rng(s, *key), sizes)
 
             monkeypatch.setattr(montecarlo, "_block_rng", counting)
-            batch = measure_attack_success(params, geometry.radius, PIN_TRIALS, seed)
-            got.append((batch.successes, counts[2]))
+            batch = measure_attack_success(params, geometry.radius, PIN_TRIALS, seed, jobs)
+            got.append((batch.successes, sum(sizes)))
         assert got == self.SHIPPED[F]
         monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
-        trials, expected = self.RULE_OFF[F]
+        trials, expected = self.WHOLE_WINDOW[F]
         r = math.sqrt(1.805 * F)
-        got = [measure_attack_success(params, r, trials, s).successes for s in (1, 2, 3)]
+        got = [measure_attack_success(params, r, trials, s, jobs).successes for s in (1, 2, 3)]
         assert got == expected
 
 
@@ -581,16 +533,21 @@ def _pinned_run(F, jobs=1):
 
 
 class TestStreamContract:
-    """(seed, trials) -> result, pinned for version 6 of the stream contract."""
+    """(seed, trials) -> result, pinned for version 8 of the stream contract."""
 
     # F -> ((false-alarm successes, estimate), (attack successes, estimate))
     GOLDEN = {
-        100: ((1839, 0.05445984363894812), (17085, 0.5059523809523809)),
-        1000: ((1691, 0.050076995972518364), (17046, 0.5047974413646056)),
+        100: ((1839, 0.05445984363894812), (16933, 0.5014510779436152)),
+        1000: ((1691, 0.050076995972518364), (16805, 0.4976605069888652)),
     }
-    # F -> attack successes, where a row of at most HEAD_COLUMNS
-    # coordinates is all head and draws no tail.
-    SMALL_F_ATTACK = {1: 19427, 2: 17528, 3: 17587, 8: 17273}
+    # F -> attack successes.  The window is narrower than [0, 1) at F = 1
+    # and 2, which draw a count first; at F = 3 and 8 the rows are those of
+    # version 7, which drew a row of at most eight coordinates whole.
+    SMALL_F_ATTACK = {1: 19396, 2: 17486, 3: 17587, 8: 17273}
+    # Attack successes per seed 0..7 of one block at F = 9, h_min = 0.5: the
+    # radius^2 of 0.32 is below the gap^2 of 1.5625, the window is the
+    # positive half of the uniforms, and about 0.2% of rows succeed.
+    NARROW_WINDOW_ATTACK = [43, 29, 34, 27, 33, 33, 34, 32]
     # The pilot run does not depend on F.
     PILOT_MOMENTS = (0.9999863526651794, 0.0009958132032588049)
 
@@ -608,6 +565,13 @@ class TestStreamContract:
     @pytest.mark.parametrize("F", sorted(SMALL_F_ATTACK))
     def test_small_f_attack_is_all_head(self, F):
         assert _pinned_run(F)[1].successes == self.SMALL_F_ATTACK[F]
+
+    def test_pinned_where_the_window_is_narrow_and_rows_succeed(self):
+        params = make(F=9, h_min=0.5, lambda_B=50.0, lambda_T=50.0, pilot_count=1)
+        r = radius(params, channel.threshold_from_pfa(params.p_FA, params.F))
+        assert montecarlo._window(0.5, 1.0, r) == (0.5, 1.0)
+        counts = [measure_attack_success(params, r, BLOCK_TRIALS, s).successes for s in range(8)]
+        assert counts == self.NARROW_WINDOW_ATTACK
 
     @pytest.mark.parametrize(
         "tile_bytes",
@@ -672,24 +636,6 @@ class TestSeedingPoint:
         run, streams = self.KERNELS[kernel]
         assert self._streams(monkeypatch, run) == streams
 
-    def test_attack_tail_stream_only_where_a_head_survives(self, monkeypatch):
-        # At F = 12 and tau = 0 the radius^2 is 12 sigma_h^2 = 0.4: about one
-        # row in 2500 keeps its head, so only some blocks draw tails.
-        params = make(F=12, h_min=0.0, pilot_count=1, lambda_B=30.0)
-        radius_sq = 12 * channel.sigma_h_sq(params)
-        with_tails = []
-        for block, rows in montecarlo._blocks(PIN_TRIALS):
-            rng = montecarlo._block_rng(5 + self.OFFSET, block)
-            head = _whole_row_distances(rng, rows, montecarlo.HEAD_COLUMNS, 0.0, 1.0)
-            if np.any(head <= radius_sq):
-                with_tails.append((block, 1))
-        assert 0 < len(with_tails) < len(self.BLOCKS)
-
-        def run(seed):
-            return measure_attack_success(params, radius(params, 0.0), PIN_TRIALS, seed)
-
-        assert self._streams(monkeypatch, run) == sorted(self.BLOCKS + with_tails)
-
 
 def _in_fresh_thread(fn, *args):
     """``fn(*args)`` in a new thread, which starts with no scratch arena."""
@@ -730,7 +676,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("F", [1000, 4000])
     def test_attack_block(self, F):
         arena, peak = _arena_and_peak(montecarlo._attack_block, 1, 0, 2048, F, 0.0, 1.0, 0.6 * F)
-        # the draws, and the kept rows or amplitudes, of one tile
+        # the draws and the amplitudes of one tile
         assert arena <= peak < 2.25 * montecarlo.TILE_BYTES
 
     @pytest.mark.parametrize("F", [1000, 4000])
@@ -790,7 +736,9 @@ class TestScratchArena:
     @classmethod
     def run(cls, F, pilots):
         results = []
-        for params in (make(F=F, h_min=0.0), make(F=F, h_min=0.5)):  # the sign rule off, then on
+        # At h_min = 0.5 the attack window is the positive half at F = 2 and
+        # every uniform at F = 1000.
+        for params in (make(F=F, h_min=0.0), make(F=F, h_min=0.5)):
             tau = channel.threshold_from_pfa(params.p_FA, params.F)
             results.append(measure_false_alarm(params, tau, cls.TRIALS, seed=21))
             results.append(measure_attack_success(params, math.sqrt(F / 3.0), cls.TRIALS, seed=22))
@@ -816,7 +764,8 @@ class TestScratchArena:
             trials = 16 * 1024 + 100
             return (
                 measure_false_alarm(params, tau, trials, seed=31, jobs=jobs),
-                # About half the rows succeed, then about 0.2% with the sign rule on.
+                # About half the rows succeed, then about 0.2% at F = 9, where
+                # the window is the positive half.
                 measure_attack_success(params, math.sqrt(115.0), trials, 32, jobs),
                 measure_attack_success(make(F=9, h_min=0.5), math.sqrt(0.32), trials, 32, jobs),
                 simulate_pilot_estimation(1.0, 100.0, 3, trials, seed=33, jobs=jobs),

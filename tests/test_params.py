@@ -144,6 +144,11 @@ class TestConfig:
         with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
             params_from_config(_config(**snr))
 
+    def test_lambda_t_overflow_names_the_ratio(self):
+        message = "lambda_T_over_lambda_B = 1e+300 overflows lambda_T = 1e+300 * 10000000000.0 to inf"
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            params_from_config(_config(lambda_B_dB=100, lambda_T_over_lambda_B=1e300))
+
     def test_zero_ratio_is_no_underflow(self):
         with pytest.raises(NonPositiveSnr, match="lambda_T must be finite and > 0, got 0.0"):
             params_from_config(_config(lambda_T_over_lambda_B=0.0))

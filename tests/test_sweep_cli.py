@@ -678,7 +678,9 @@ class TestInputErrors:
 
     _DB_OVERFLOW = "error: lambda_B_dB = 4000.0 overflows the linear scale\n"
     _DB_UNDERFLOW = "error: lambda_B_dB = -4000.0 underflows the linear scale\n"
-    _LAMBDA_T_OVERFLOW = "error: lambda_T must be finite and > 0, got inf\n"
+    _LAMBDA_T_OVERFLOW = (
+        "error: lambda_ratio = 1e+308 overflows lambda_T = 1e+308 * 100000.0 to inf\n"
+    )
     _RATIO_UNDERFLOW = "error: lambda_ratio = 1e-320 underflows lambda_T = 1e-320 * 1e-05 to 0\n"
     _DB_LAMBDA_T_UNDERFLOW = (
         "error: lambda_B_dB = -3235.0 underflows lambda_T = 0.3 * 5e-324 to 0\n"

@@ -56,15 +56,21 @@ ROOT = Path(__file__).resolve().parent.parent
 # Two-sided normal tail beyond 3 sigma.
 NOMINAL_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
-# Points beyond the fit radius, where the closed form only bounds the
-# attack row.  ``clamp``: radius_over_fit 7.85 clamps the bound to 1, and
-# the origin guess succeeds at every trial.  ``beyond_fit``:
+# ``clamp``, ``beyond_fit`` and ``band_f100`` lie beyond the fit radius,
+# where the closed form only bounds the attack row.  ``clamp``:
+# radius_over_fit 7.85 clamps the bound to 1, and the origin guess
+# succeeds at every trial.  ``beyond_fit``:
 # radius_over_fit 1.6, a bound of 0.68 over a centre-guess rate of 0.47.
 # ``high_snr_f100`` and ``high_snr_f1000``: the shipped point at F = 100
-# and F = 1000, the inputs of the Monte Carlo benchmark workloads.
-# ``sign_rule_f9``: h_min > 0 with a radius^2 of 0.32 below the sign
-# rule's gap^2 of 1.5625, so the attack kernel transforms only rows of
-# positive coordinates, and about 0.2% of rows still succeed.
+# and F = 1000, the inputs of the Monte Carlo benchmark workloads; the
+# attack window lies on the positive side (q = 0.42 and 0.5), so a block
+# draws the Binomial(rows, q^F) count of its rows there, almost always 0.
+# ``sign_rule_f9``: h_min > 0 with a radius^2 of 0.32 below the gap^2 of
+# 1.5625 of a negative coordinate, so the window is the positive half
+# (q = 0.5), and about 0.2% of rows still succeed.  ``band_f100``:
+# h_min = 0 with a radius of h_max (1.000007), so the window is every
+# uniform (q = 1) and the kernel draws every row, though about 2^-232 of
+# them succeed.
 _HIGH_SNR = read_json_object(str(ROOT / "configs" / "point_high_snr.json"))
 POINTS = {
     "clamp": SystemParams(
@@ -77,6 +83,9 @@ POINTS = {
     "high_snr_f1000": params_from_config(dict(_HIGH_SNR, F=1000)),
     "sign_rule_f9": SystemParams(
         n=10, F=9, pilot_count=1, b_M=0, p_FA=0.05, lambda_B=50.0, lambda_T=50.0, h_min=0.5
+    ),
+    "band_f100": SystemParams(
+        n=10, F=100, pilot_count=1, b_M=0, p_FA=0.05, lambda_B=123.26, lambda_T=123.26, h_min=0.0
     ),
 }
 
